@@ -1,8 +1,11 @@
 """Exterior and Lie calculus for polynomial holomorphic data on C^n.
 
-Vector fields, multivectors and forms carry CPoly components indexed by
-strictly increasing 1-based index tuples.  Grade-0 objects are plain CPoly
-scalars: operations that land in grade 0 return the scalar directly.
+Vector fields carry one component per coordinate from their class's `ring`
+(CPoly here, RPoly in the realified subclass); `apply_field`, `divergence`
+and `lie_bracket` work over either.  Multivectors and forms carry CPoly
+components indexed by strictly increasing 1-based index tuples.  Grade-0
+objects are plain CPoly scalars: operations that land in grade 0 return the
+scalar directly.
 
 The interior-product sign convention is fixed once: for a decomposable
 multivector with increasing factors, contraction starts with the lowest
@@ -158,9 +161,10 @@ class Form(_Graded):
 
 
 class VectorField:
-    """Holomorphic vector field: one CPoly component per coordinate."""
+    """Holomorphic vector field: one `ring` component per coordinate."""
 
     __slots__ = ("n", "components")
+    ring = CPoly
 
     def __init__(self, n: int, components: Iterable[CPoly]):
         components = list(components)
@@ -174,19 +178,19 @@ class VectorField:
 
     @classmethod
     def zero(cls, n: int) -> "VectorField":
-        return cls(n, [CPoly.zero(n) for _ in range(n)])
+        return cls(n, [cls.ring.zero(n) for _ in range(n)])
 
     @classmethod
     def coordinate(cls, n: int, index: int) -> "VectorField":
-        comps = [CPoly.zero(n) for _ in range(n)]
-        comps[index - 1] = CPoly.const(n, 1)
+        comps = [cls.ring.zero(n) for _ in range(n)]
+        comps[index - 1] = cls.ring.const(n, 1)
         return cls(n, comps)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
     def __eq__(self, other):
-        if not isinstance(other, VectorField):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.components == other.components
 
@@ -195,27 +199,27 @@ class VectorField:
 
     def __add__(self, other):
         self._check(other)
-        return VectorField(self.n, [a + b for a, b in zip(self.components, other.components)])
+        return type(self)(self.n, [a + b for a, b in zip(self.components, other.components)])
 
     def __neg__(self):
-        return VectorField(self.n, [-c for c in self.components])
+        return type(self)(self.n, [-c for c in self.components])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, poly_or_scalar) -> "VectorField":
-        if isinstance(poly_or_scalar, CPoly):
+        if isinstance(poly_or_scalar, self.ring):
             factor = poly_or_scalar
         else:
-            factor = CPoly.const(self.n, poly_or_scalar)
-        return VectorField(self.n, [c * factor for c in self.components])
+            factor = self.ring.const(self.n, poly_or_scalar)
+        return type(self)(self.n, [c * factor for c in self.components])
 
     def _check(self, other):
-        if not isinstance(other, VectorField) or other.n != self.n:
-            raise ValueError("dimension mismatch between vector fields")
+        if type(other) is not type(self) or other.n != self.n:
+            raise ValueError("vector fields differ in class or dimension")
 
     def __repr__(self):
-        return f"VectorField({self.n}, [{', '.join(c.format() for c in self.components)}])"
+        return f"{type(self).__name__}({self.n}, [{', '.join(c.format() for c in self.components)}])"
 
 
 class VolumeForm:
@@ -243,7 +247,7 @@ def apply_field(field: VectorField, f: CPoly) -> CPoly:
     """Derivative of f along the field: sum of Z^i * df/dz^i."""
     if f.nvars != field.n:
         raise ValueError("dimension mismatch between field and function")
-    out = CPoly.zero(field.n)
+    out = field.ring.zero(field.n)
     for i, comp in enumerate(field.components, start=1):
         if comp:
             out = out + comp * f.diff(i)
@@ -254,19 +258,19 @@ def lie_bracket(z: VectorField, w: VectorField) -> VectorField:
     z._check(w)
     comps = []
     for k in range(1, z.n + 1):
-        acc = CPoly.zero(z.n)
+        acc = z.ring.zero(z.n)
         for i in range(1, z.n + 1):
             acc = acc + z.components[i - 1] * w.components[k - 1].diff(i)
             acc = acc - w.components[i - 1] * z.components[k - 1].diff(i)
         comps.append(acc)
-    return VectorField(z.n, comps)
+    return type(z)(z.n, comps)
 
 
 def divergence(field: VectorField, omega: VolumeForm) -> CPoly:
     """Trace of the Jacobian; the constant volume weight cancels exactly."""
     if field.n != omega.n:
         raise ValueError("dimension mismatch between field and volume form")
-    out = CPoly.zero(field.n)
+    out = field.ring.zero(field.n)
     for i, comp in enumerate(field.components, start=1):
         out = out + comp.diff(i)
     return out

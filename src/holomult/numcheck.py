@@ -88,8 +88,8 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
     if step <= 0 or t_end <= 0:
         raise ValueError("step and t_end must be positive")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.nvars,):
-        raise ValueError(f"initial state must have {field.nvars} coordinates")
+    if x0.shape != (field.n,):
+        raise ValueError(f"initial state must have {field.n} coordinates")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
     rhs = compile_field(field)

@@ -1,8 +1,10 @@
 """Holomorphic Poisson bivectors: brackets, Jacobi, modular fields, exactness.
 
 A bivector stores only its strictly upper-triangular components; the lower
-triangle is implied by antisymmetry.  Nothing here assumes the bivector is
-Poisson -- the Jacobi test is itself one of the operations.
+triangle is implied by antisymmetry.  The class attribute `field` is the
+class of its Hamiltonian and modular fields and `field.ring` the class of its
+components, so the realified subclass runs the same code.  Nothing here
+assumes the bivector is Poisson -- the Jacobi test is itself an operation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .poly import CPoly
 
 class Bivector:
     __slots__ = ("n", "comps")
+    field = VectorField
 
     def __init__(self, n: int, comps: Dict[Tuple[int, int], CPoly] | None = None):
         if n < 2:
@@ -53,16 +56,17 @@ class Bivector:
                     raise ValueError("diagonal bivector entries must vanish")
                 continue
             key, value = ((i, j), poly) if i < j else ((j, i), -poly)
-            upper[key] = upper.get(key, CPoly.zero(n)) + value
+            upper[key] = upper.get(key, cls.field.ring.zero(n)) + value
         return cls(n, upper)
 
     def entry(self, i: int, j: int) -> CPoly:
         """Signed component P^{ij} for any index pair."""
+        zero = self.field.ring.zero(self.n)
         if i == j:
-            return CPoly.zero(self.n)
+            return zero
         if i < j:
-            return self.comps.get((i, j), CPoly.zero(self.n))
-        return -self.comps.get((j, i), CPoly.zero(self.n))
+            return self.comps.get((i, j), zero)
+        return -self.comps.get((j, i), zero)
 
     def to_multivector(self) -> Multivector:
         return Multivector(self.n, 2, dict(self.comps))
@@ -71,33 +75,34 @@ class Bivector:
         return not self.comps
 
     def __eq__(self, other):
-        if not isinstance(other, Bivector):
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.comps == other.comps
 
     def __repr__(self):
         body = ", ".join(f"{k}: {v.format()}" for k, v in sorted(self.comps.items()))
-        return f"Bivector(n={self.n}, {{{body}}})"
+        return f"{type(self).__name__}(n={self.n}, {{{body}}})"
 
 
 @dataclass
 class Trivector:
-    """Grade-3 skew data; used to report the Jacobi defect of a bivector."""
+    """Grade-3 skew data over `ring`; used to report the Jacobi defect of a bivector."""
 
     n: int
     comps: Dict[Tuple[int, int, int], CPoly]
+    ring: type = CPoly
 
     def is_zero(self) -> bool:
         return not self.comps
 
     def component(self, i: int, j: int, k: int) -> CPoly:
-        return self.comps.get((i, j, k), CPoly.zero(self.n))
+        return self.comps.get((i, j, k), self.ring.zero(self.n))
 
 
 def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
     if f.nvars != p.n or g.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
-    out = CPoly.zero(p.n)
+    out = p.field.ring.zero(p.n)
     for (i, j), comp in p.comps.items():
         out = out + comp * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
     return out
@@ -106,7 +111,8 @@ def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
 def jacobiator(p: Bivector) -> Trivector:
     """Cyclic bracket sum over coordinate triples; zero exactly for Poisson."""
     comps: Dict[Tuple[int, int, int], CPoly] = {}
-    coords = [CPoly.var(p.n, i) for i in range(1, p.n + 1)]
+    ring = p.field.ring
+    coords = [ring.var(p.n, i) for i in range(1, p.n + 1)]
     for i in range(1, p.n + 1):
         for j in range(i + 1, p.n + 1):
             for k in range(j + 1, p.n + 1):
@@ -118,7 +124,7 @@ def jacobiator(p: Bivector) -> Trivector:
                 )
                 if total:
                     comps[(i, j, k)] = total
-    return Trivector(p.n, comps)
+    return Trivector(p.n, comps, ring)
 
 
 def is_poisson(p: Bivector) -> bool:
@@ -130,11 +136,11 @@ def hamiltonian_field(f: CPoly, p: Bivector) -> VectorField:
     if f.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
     partials = [f.diff(i) for i in range(1, p.n + 1)]
-    comps = [CPoly.zero(p.n) for _ in range(p.n)]
+    comps = [p.field.ring.zero(p.n) for _ in range(p.n)]
     for (i, j), entry in p.comps.items():
         comps[j - 1] = comps[j - 1] + entry * partials[i - 1]
         comps[i - 1] = comps[i - 1] - entry * partials[j - 1]
-    return VectorField(p.n, comps)
+    return p.field(p.n, comps)
 
 
 def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:
@@ -147,13 +153,13 @@ def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:
         raise ValueError("dimension mismatch with volume form")
     comps = []
     for i in range(1, p.n + 1):
-        acc = CPoly.zero(p.n)
+        acc = p.field.ring.zero(p.n)
         for j in range(1, p.n + 1):
             entry = p.entry(i, j)
             if entry:
                 acc = acc + entry.diff(j)
         comps.append(acc)
-    return VectorField(p.n, comps)
+    return p.field(p.n, comps)
 
 
 def is_unimodular_with(p: Bivector, h: CPoly, omega: VolumeForm) -> bool:

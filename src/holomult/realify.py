@@ -9,74 +9,43 @@ fields attached to a holomorphic field Z are
 where Z^k = X^k + i*Y^k.  The first one generates the equivalent real ODE
 system; multiplier predicates are insensitive to the overall sign and scale
 of either field.
+
+`RealVectorField` and `RealBivector` are `VectorField` and `Bivector` over
+RPoly, so the real twins (apply, divergence, Hamiltonian and modular fields,
+Jacobi) are the `calculus` and `poisson` functions; the `real_*` names below
+are aliases or one-line calls of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .calculus import VectorField
+from .calculus import VectorField, VolumeForm, apply_field, divergence
 from .linsolve import invert_matrix
 from .metric import HoloMetric
-from .poisson import Bivector
+from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
 from .poly import CPoly, RPoly
 
 
-class RealVectorField:
+class RealVectorField(VectorField):
     """Vector field on R^{2n} with exact rational-polynomial components."""
 
-    __slots__ = ("nvars", "components")
+    __slots__ = ()
+    ring = RPoly
 
-    def __init__(self, nvars: int, components: Iterable[RPoly]):
-        components = list(components)
-        if len(components) != nvars:
-            raise ValueError(f"expected {nvars} components, got {len(components)}")
-        for comp in components:
-            if comp.nvars != nvars:
-                raise ValueError("component variable count differs from dimension")
-        self.nvars = nvars
-        self.components = components
 
-    @classmethod
-    def zero(cls, nvars: int) -> "RealVectorField":
-        return cls(nvars, [RPoly.zero(nvars) for _ in range(nvars)])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, RealVectorField):
-            return NotImplemented
-        return self.nvars == other.nvars and self.components == other.components
-
-    def __add__(self, other):
-        return RealVectorField(self.nvars, [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return RealVectorField(self.nvars, [a - b for a, b in zip(self.components, other.components)])
-
-    def scale(self, value) -> "RealVectorField":
-        if isinstance(value, RPoly):
-            return RealVectorField(self.nvars, [c * value for c in self.components])
-        return RealVectorField(self.nvars, [c.scale(value) for c in self.components])
-
-    def __repr__(self):
-        return f"RealVectorField({self.nvars}, [{', '.join(c.format() for c in self.components)}])"
+def _attached_fields(splits: Sequence[Tuple[RPoly, RPoly]]) -> Tuple[RealVectorField, RealVectorField]:
+    """The fields (X, Y) and (Y, -X) from per-component (re, im) = (X^k, Y^k)."""
+    xs = [re for re, _ in splits]
+    ys = [im for _, im in splits]
+    size = 2 * len(splits)
+    return RealVectorField(size, xs + ys), RealVectorField(size, ys + [-x for x in xs])
 
 
 def realify_field(field: VectorField) -> Tuple[RealVectorField, RealVectorField]:
     """Split a holomorphic field into its two attached real fields."""
-    n = field.n
-    xs: List[RPoly] = []
-    ys: List[RPoly] = []
-    for comp in field.components:
-        re, im = comp.realify_split()
-        xs.append(re)
-        ys.append(im)
-    field_re = RealVectorField(2 * n, xs + ys)
-    field_im = RealVectorField(2 * n, ys + [-x for x in xs])
-    return field_re, field_im
+    return _attached_fields([comp.realify_split() for comp in field.components])
 
 
 def modsq(alpha: CPoly) -> RPoly:
@@ -85,21 +54,13 @@ def modsq(alpha: CPoly) -> RPoly:
     return re * re + im * im
 
 
-def real_apply(field: RealVectorField, u: RPoly) -> RPoly:
-    if u.nvars != field.nvars:
-        raise ValueError("dimension mismatch")
-    out = RPoly.zero(field.nvars)
-    for a, comp in enumerate(field.components, start=1):
-        if comp:
-            out = out + comp * u.diff(a)
-    return out
+# calculus.apply_field on a RealVectorField: sum of X^a * du/dx^a
+real_apply = apply_field
 
 
 def real_divergence(field: RealVectorField) -> RPoly:
-    out = RPoly.zero(field.nvars)
-    for a, comp in enumerate(field.components, start=1):
-        out = out + comp.diff(a)
-    return out
+    """calculus.divergence against the unit volume on R^{2n} (the weight cancels)."""
+    return divergence(field, VolumeForm(field.n))
 
 
 def real_lm_residual(u: RPoly, field: RealVectorField) -> RPoly:
@@ -116,26 +77,12 @@ def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
 
 def conj_scaled_real_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Re(conj(f) * W), componentwise."""
-    n = w.n
-    xs: List[RPoly] = []
-    ys: List[RPoly] = []
-    for comp in w.components:
-        re, im = conj_product_split(f, comp)
-        xs.append(re)
-        ys.append(im)
-    return RealVectorField(2 * n, xs + ys)
+    return _attached_fields([conj_product_split(f, comp) for comp in w.components])[0]
 
 
 def conj_scaled_imag_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Im(conj(f) * W), componentwise."""
-    n = w.n
-    xs: List[RPoly] = []
-    ys: List[RPoly] = []
-    for comp in w.components:
-        re, im = conj_product_split(f, comp)
-        xs.append(re)
-        ys.append(im)
-    return RealVectorField(2 * n, ys + [-x for x in xs])
+    return _attached_fields([conj_product_split(f, comp) for comp in w.components])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +189,11 @@ def real_gradient(u: RPoly, metric: RealMetric, which: str = "h") -> RealVectorF
 # ---------------------------------------------------------------------------
 
 
-class RealBivector:
+class RealBivector(Bivector):
     """Antisymmetric RPoly matrix on R^{2n}, stored upper-triangular."""
 
-    __slots__ = ("nvars", "comps")
-
-    def __init__(self, nvars: int, comps: Dict[Tuple[int, int], RPoly] | None = None):
-        self.nvars = nvars
-        clean: Dict[Tuple[int, int], RPoly] = {}
-        if comps:
-            for (i, j), poly in comps.items():
-                if not 1 <= i < j <= nvars:
-                    raise ValueError(f"key {(i, j)} must satisfy 1 <= i < j <= {nvars}")
-                if poly.nvars != nvars:
-                    raise ValueError("component variable count differs from dimension")
-                if poly:
-                    clean[(i, j)] = poly
-        self.comps = clean
-
-    def entry(self, i: int, j: int) -> RPoly:
-        if i == j:
-            return RPoly.zero(self.nvars)
-        if i < j:
-            return self.comps.get((i, j), RPoly.zero(self.nvars))
-        return -self.comps.get((j, i), RPoly.zero(self.nvars))
-
-    def __repr__(self):
-        body = ", ".join(f"{key}: {v.format()}" for key, v in sorted(self.comps.items()))
-        return f"RealBivector(nvars={self.nvars}, {{{body}}})"
+    __slots__ = ()
+    field = RealVectorField
 
 
 def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
@@ -312,56 +236,19 @@ def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
     return RealBivector(size, re_comps), RealBivector(size, im_comps)
 
 
-def real_hamiltonian(u: RPoly, q: RealBivector) -> RealVectorField:
-    """Contract the bivector with du: component b is sum_a Q^{ab} du/dx^a."""
-    size = q.nvars
-    if u.nvars != size:
-        raise ValueError("dimension mismatch with real bivector")
-    partials = [u.diff(a) for a in range(1, size + 1)]
-    comps = [RPoly.zero(size) for _ in range(size)]
-    for (i, j), poly in q.comps.items():
-        comps[j - 1] = comps[j - 1] + poly * partials[i - 1]
-        comps[i - 1] = comps[i - 1] - poly * partials[j - 1]
-    return RealVectorField(size, comps)
+# poisson.hamiltonian_field on a RealBivector: component b is sum_a Q^{ab} du/dx^a
+real_hamiltonian = hamiltonian_field
 
 
 def real_modular_field(q: RealBivector) -> RealVectorField:
-    size = q.nvars
-    comps = []
-    for i in range(1, size + 1):
-        acc = RPoly.zero(size)
-        for j in range(1, size + 1):
-            entry = q.entry(i, j)
-            if entry:
-                acc = acc + entry.diff(j)
-        comps.append(acc)
-    return RealVectorField(size, comps)
+    """poisson.modular_field against the unit volume on R^{2n} (the weight cancels)."""
+    return modular_field(q, VolumeForm(q.n))
 
 
 def real_self_residual(u: RPoly, q: RealBivector) -> RPoly:
     """Real counterpart of the self-multiplier residual for bivectors."""
-    return real_apply(real_modular_field(q), u)
+    return self_multiplier_residual(u, q, VolumeForm(q.n))
 
 
-def real_bracket(u: RPoly, v: RPoly, q: RealBivector) -> RPoly:
-    out = RPoly.zero(q.nvars)
-    for (i, j), poly in q.comps.items():
-        out = out + poly * (u.diff(i) * v.diff(j) - u.diff(j) * v.diff(i))
-    return out
-
-
-def is_real_poisson(q: RealBivector) -> bool:
-    """Brute-force Jacobi check over coordinate triples."""
-    size = q.nvars
-    coords = [RPoly.var(size, a) for a in range(1, size + 1)]
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            for k in range(j + 1, size + 1):
-                total = (
-                    real_bracket(q.entry(i, j), coords[k - 1], q)
-                    + real_bracket(q.entry(j, k), coords[i - 1], q)
-                    + real_bracket(q.entry(k, i), coords[j - 1], q)
-                )
-                if total:
-                    return False
-    return True
+# poisson.is_poisson on a RealBivector: the Jacobiator vanishes on every triple
+is_real_poisson = is_poisson
