@@ -1,7 +1,9 @@
 """Command-line interface.
 
 `check` runs a manifest of verification tasks; the remaining subcommands are
-one-shot calculators over inline expressions.  Exit codes: 0 success / all
+one-shot calculators over inline expressions.  Each subcommand's handler is
+bound with `set_defaults(run=...)`; the field, bivector-entry and volume
+syntax is the manifest's (`holomult.manifest`).  Exit codes: 0 success / all
 tasks passed, 1 some verification task failed, 2 malformed input.
 """
 
@@ -12,25 +14,19 @@ import json
 import sys
 from typing import Dict, Tuple
 
-from .calculus import VectorField, VolumeForm, divergence, lie_bracket
-from .manifest import ManifestError, emit_report, load_manifest, run_tasks
+from .calculus import VolumeForm, divergence, lie_bracket
+from .manifest import (
+    add_bivector_entry, emit_report, load_manifest, parse_constant, parse_field, run_tasks,
+)
 from .numcheck import SplitMix64, integrate
-from .parser import ParseError, parse_expr
+from .parser import parse_expr
 from .poisson import Bivector, exactness_check, modular_field
 from .poly import CPoly
 from .realify import modsq, realify_field
-from .scalars import GaussianRational
 
 
 class CliError(ValueError):
     pass
-
-
-def _parse_field(text: str, dim: int) -> VectorField:
-    parts = [p.strip() for p in text.split(";")]
-    if len(parts) != dim:
-        raise CliError(f"field needs {dim} ';'-separated components, got {len(parts)}")
-    return VectorField(dim, [parse_expr(p, dim) for p in parts])
 
 
 def _parse_bivector(text: str, dim: int) -> Bivector:
@@ -39,41 +35,20 @@ def _parse_bivector(text: str, dim: int) -> Bivector:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" not in chunk:
-            raise CliError(f"bivector entry {chunk!r} must look like 'i j: expr'")
-        head, body = chunk.split(":", 1)
-        pieces = head.split()
-        if len(pieces) != 2:
-            raise CliError(f"bivector entry {chunk!r} must start with two indices")
         try:
-            i, j = int(pieces[0]), int(pieces[1])
+            head, body = chunk.split(":", 1)
+            i, j = map(int, head.split())
         except ValueError:
-            raise CliError(f"bad bivector indices in {chunk!r}")
-        if not (1 <= i <= dim and 1 <= j <= dim) or i == j:
-            raise CliError(f"bivector indices ({i},{j}) out of range for dimension {dim}")
-        value = parse_expr(body.strip(), dim)
-        key, value = ((i, j), value) if i < j else ((j, i), -value)
-        if key in entries:
-            raise CliError(f"duplicate bivector entry for indices {key}")
-        entries[key] = value
-    return Bivector(dim, {k: v for k, v in entries.items() if v})
+            raise CliError(f"bivector entry {chunk!r} must look like 'i j: expr'") from None
+        add_bivector_entry(entries, dim, i, j, body)
+    return Bivector(dim, entries)
 
 
-def _parse_volume(arg: str, dim: int) -> VolumeForm:
-    value = parse_expr(arg, 0)
-    if value.total_degree() > 0:
-        raise CliError("volume weight must be a constant")
-    weight = value.terms.get((), GaussianRational(0))
-    if not weight:
-        raise CliError("volume weight must be nonzero")
-    return VolumeForm(dim, weight)
+def _volume(args) -> VolumeForm:
+    return VolumeForm(args.dim, parse_constant(args.volume_weight))
 
 
-def _emit(payload: dict, text_lines, args) -> None:
-    if args.format == "json":
-        output = json.dumps(payload, indent=2) + "\n"
-    else:
-        output = "\n".join(text_lines) + "\n"
+def _write(output: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output)
@@ -81,9 +56,107 @@ def _emit(payload: dict, text_lines, args) -> None:
         sys.stdout.write(output)
 
 
-def _add_common(sub):
+def _emit(payload: dict, text_lines, args) -> None:
+    if args.format == "json":
+        _write(json.dumps(payload, indent=2) + "\n", args)
+    else:
+        _write("\n".join(text_lines) + "\n", args)
+
+
+def _check(args) -> int:
+    report = run_tasks(load_manifest(args.manifest), include_timings=args.timings)
+    _write(emit_report(report, args.format), args)
+    return report.exit_code()
+
+
+def _div(args) -> int:
+    result = divergence(parse_field(args.field, args.dim), _volume(args))
+    _emit({"command": "div", "result": result.format()}, [result.format()], args)
+    return 0
+
+
+def _bracket(args) -> int:
+    if len(args.field) != 2:
+        raise CliError("bracket needs --field given exactly twice")
+    z = parse_field(args.field[0], args.dim)
+    w = parse_field(args.field[1], args.dim)
+    result = lie_bracket(z, w)
+    comps = [c.format() for c in result.components]
+    _emit({"command": "bracket", "components": comps}, comps, args)
+    return 0
+
+
+def _curl(args) -> int:
+    result = exactness_check(_parse_bivector(args.bivector, args.dim), _volume(args))
+    comps = [c.format() for c in result.residual.components]
+    payload = {"command": "curl", "components": comps, "exact": result.exact}
+    _emit(payload, comps + [f"exact: {result.exact}"], args)
+    return 0
+
+
+def _modular(args) -> int:
+    result = modular_field(_parse_bivector(args.bivector, args.dim), _volume(args))
+    comps = [c.format() for c in result.components]
+    _emit({"command": "modular", "components": comps}, comps, args)
+    return 0
+
+
+def _realify(args) -> int:
+    if (args.field is None) == (args.alpha is None):
+        raise CliError("realify needs exactly one of --field or --alpha")
+    if args.field is not None:
+        field_re, field_im = realify_field(parse_field(args.field, args.dim))
+        payload = {
+            "command": "realify",
+            "real_field": [c.format() for c in field_re.components],
+            "imag_field": [c.format() for c in field_im.components],
+        }
+        lines = ["2*Re Z components:", *(f"  {c}" for c in payload["real_field"])]
+        lines += ["2*Im Z components:", *(f"  {c}" for c in payload["imag_field"])]
+        _emit(payload, lines, args)
+        return 0
+    alpha = parse_expr(args.alpha, args.dim)
+    re, im = alpha.realify_split()
+    squared = modsq(alpha)
+    payload = {
+        "command": "realify",
+        "re": re.format(),
+        "im": im.format(),
+        "modsq": squared.format(),
+    }
+    lines = [f"re: {re.format()}", f"im: {im.format()}", f"|.|^2: {squared.format()}"]
+    _emit(payload, lines, args)
+    return 0
+
+
+def _integrate(args) -> int:
+    field_re, _ = realify_field(parse_field(args.field, args.dim))
+    if args.x0 is not None:
+        x0 = [float(v) for v in args.x0.split(",")]
+        if len(x0) != 2 * args.dim:
+            raise CliError(f"--x0 needs {2 * args.dim} comma-separated values")
+    else:
+        rng = SplitMix64(args.seed)
+        x0 = [rng.next_symmetric(1.0) for _ in range(2 * args.dim)]
+    traj = integrate(field_re, x0, args.t_end, args.step)
+    final = [float(v) for v in traj.states[-1]]
+    payload = {
+        "command": "integrate",
+        "steps": len(traj.times) - 1,
+        "t_final": float(traj.times[-1]),
+        "state_final": final,
+        "truncated": traj.truncated,
+    }
+    lines = [f"{key}: {value}" for key, value in payload.items() if key != "command"]
+    _emit(payload, lines, args)
+    return 0
+
+
+def _add_common(sub, run):
+    """Add the output options every subcommand shares and bind its handler."""
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    sub.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,38 +169,38 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser("check", help="run the tasks of a manifest file")
     check.add_argument("manifest")
     check.add_argument("--timings", action="store_true", help="include task timings in the report")
-    _add_common(check)
+    _add_common(check, _check)
 
     div = subs.add_parser("div", help="divergence of an inline vector field")
     div.add_argument("--dim", type=int, required=True)
     div.add_argument("--field", required=True, help="';'-separated component expressions")
     div.add_argument("--volume-weight", default="1")
-    _add_common(div)
+    _add_common(div, _div)
 
     bracket = subs.add_parser("bracket", help="Lie bracket of two inline fields")
     bracket.add_argument("--dim", type=int, required=True)
     bracket.add_argument(
         "--field", action="append", required=True, help="give twice: first Z, then W"
     )
-    _add_common(bracket)
+    _add_common(bracket, _bracket)
 
     curl_cmd = subs.add_parser("curl", help="curl of an inline bivector")
     curl_cmd.add_argument("--dim", type=int, required=True)
     curl_cmd.add_argument("--bivector", required=True, help="';'-separated 'i j: expr' entries")
     curl_cmd.add_argument("--volume-weight", default="1")
-    _add_common(curl_cmd)
+    _add_common(curl_cmd, _curl)
 
     modular = subs.add_parser("modular", help="modular vector field of an inline bivector")
     modular.add_argument("--dim", type=int, required=True)
     modular.add_argument("--bivector", required=True)
     modular.add_argument("--volume-weight", default="1")
-    _add_common(modular)
+    _add_common(modular, _modular)
 
     realify_cmd = subs.add_parser("realify", help="real forms of an inline field or polynomial")
     realify_cmd.add_argument("--dim", type=int, required=True)
     realify_cmd.add_argument("--field", default=None)
     realify_cmd.add_argument("--alpha", default=None, help="polynomial to split and square")
-    _add_common(realify_cmd)
+    _add_common(realify_cmd, _realify)
 
     integrate_cmd = subs.add_parser("integrate", help="RK4 trajectory of the realified system")
     integrate_cmd.add_argument("--dim", type=int, required=True)
@@ -136,127 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     integrate_cmd.add_argument("--seed", type=int, default=0, help="seed for a random start when --x0 is omitted")
     integrate_cmd.add_argument("--step", type=float, default=1e-3)
     integrate_cmd.add_argument("--t-end", type=float, default=1.0)
-    _add_common(integrate_cmd)
+    _add_common(integrate_cmd, _integrate)
 
     return parser
 
 
-def _run(args) -> int:
-    if args.command == "check":
-        manifest = load_manifest(args.manifest)
-        report = run_tasks(manifest, include_timings=args.timings)
-        output = emit_report(report, args.format)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(output)
-        else:
-            sys.stdout.write(output)
-        return report.exit_code()
-
-    if args.command == "div":
-        field = _parse_field(args.field, args.dim)
-        omega = _parse_volume(args.volume_weight, args.dim)
-        result = divergence(field, omega)
-        _emit({"command": "div", "result": result.format()}, [result.format()], args)
-        return 0
-
-    if args.command == "bracket":
-        if len(args.field) != 2:
-            raise CliError("bracket needs --field given exactly twice")
-        z = _parse_field(args.field[0], args.dim)
-        w = _parse_field(args.field[1], args.dim)
-        result = lie_bracket(z, w)
-        comps = [c.format() for c in result.components]
-        _emit({"command": "bracket", "components": comps}, comps, args)
-        return 0
-
-    if args.command == "curl":
-        bivector = _parse_bivector(args.bivector, args.dim)
-        omega = _parse_volume(args.volume_weight, args.dim)
-        result = exactness_check(bivector, omega)
-        comps = [c.format() for c in result.residual.components]
-        payload = {"command": "curl", "components": comps, "exact": result.exact}
-        _emit(payload, comps + [f"exact: {result.exact}"], args)
-        return 0
-
-    if args.command == "modular":
-        bivector = _parse_bivector(args.bivector, args.dim)
-        omega = _parse_volume(args.volume_weight, args.dim)
-        result = modular_field(bivector, omega)
-        comps = [c.format() for c in result.components]
-        _emit({"command": "modular", "components": comps}, comps, args)
-        return 0
-
-    if args.command == "realify":
-        if (args.field is None) == (args.alpha is None):
-            raise CliError("realify needs exactly one of --field or --alpha")
-        if args.field is not None:
-            field = _parse_field(args.field, args.dim)
-            field_re, field_im = realify_field(field)
-            payload = {
-                "command": "realify",
-                "real_field": [c.format() for c in field_re.components],
-                "imag_field": [c.format() for c in field_im.components],
-            }
-            lines = ["2*Re Z components:"]
-            lines += [f"  {c.format()}" for c in field_re.components]
-            lines += ["2*Im Z components:"]
-            lines += [f"  {c.format()}" for c in field_im.components]
-            _emit(payload, lines, args)
-            return 0
-        alpha = parse_expr(args.alpha, args.dim)
-        re, im = alpha.realify_split()
-        squared = modsq(alpha)
-        payload = {
-            "command": "realify",
-            "re": re.format(),
-            "im": im.format(),
-            "modsq": squared.format(),
-        }
-        lines = [f"re: {re.format()}", f"im: {im.format()}", f"|.|^2: {squared.format()}"]
-        _emit(payload, lines, args)
-        return 0
-
-    if args.command == "integrate":
-        field = _parse_field(args.field, args.dim)
-        field_re, _ = realify_field(field)
-        if args.x0 is not None:
-            x0 = [float(v) for v in args.x0.split(",")]
-            if len(x0) != 2 * args.dim:
-                raise CliError(f"--x0 needs {2 * args.dim} comma-separated values")
-        else:
-            rng = SplitMix64(args.seed)
-            x0 = [rng.next_symmetric(1.0) for _ in range(2 * args.dim)]
-        traj = integrate(field_re, x0, args.t_end, args.step)
-        final = [float(v) for v in traj.states[-1]]
-        payload = {
-            "command": "integrate",
-            "steps": len(traj.times) - 1,
-            "t_final": float(traj.times[-1]),
-            "state_final": final,
-            "truncated": traj.truncated,
-        }
-        lines = [
-            f"steps: {payload['steps']}",
-            f"t_final: {payload['t_final']}",
-            f"state_final: {final}",
-            f"truncated: {traj.truncated}",
-        ]
-        _emit(payload, lines, args)
-        return 0
-
-    raise CliError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
-    except (ManifestError, ParseError, CliError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # ManifestError, ParseError and CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

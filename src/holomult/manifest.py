@@ -17,6 +17,12 @@ followed by an ordered list of verification tasks.  Example::
     modular_zero P
     bivector_lm alpha P
 
+The object syntax (`parse_field`, `parse_constant`, `add_bivector_entry`)
+is shared with the CLI.  `TASKS` maps each task kind to the object kinds of
+its arguments and the function that checks it; most return a residual that
+is zero exactly when the task passes.  `run_tasks` binds every task (kind,
+arity, names) before it runs any.
+
 Task verdicts are `pass`/`fail` for predicates and `found`/`inconsistent`
 for searches.  Exit-code policy: 0 when every task passes, 1 when some task
 is a mathematical negative, 2 for malformed input (reported with a line
@@ -28,13 +34,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import multipliers, poisson
 from .calculus import VectorField, VolumeForm, divergence
 from .metric import HoloMetric, gradient_lm_residual
-from .parser import ParseError, parse_expr
-from .poisson import Bivector
+from .parser import parse_expr
+from .poisson import Bivector, Trivector
 from .poly import CPoly, poly_summary
 from .scalars import GaussianRational
 
@@ -45,6 +51,44 @@ class ManifestError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+# ---------------------------------------------------------------------------
+# parsing: the object syntax (shared with the CLI), then whole manifests
+# ---------------------------------------------------------------------------
+
+
+def parse_field(text: str, dim: int) -> VectorField:
+    """A vector field written as `dim` ';'-separated component expressions."""
+    parts = [p.strip() for p in text.split(";")]
+    if len(parts) != dim:
+        raise ValueError(f"field needs {dim} ';'-separated components, got {len(parts)}")
+    return VectorField(dim, [parse_expr(p, dim) for p in parts])
+
+
+def parse_constant(text: str) -> GaussianRational:
+    """A constant expression; any variable is out of range (dimension 0)."""
+    return parse_expr(text, 0).terms.get((), GaussianRational(0))
+
+
+def add_bivector_entry(
+    entries: Dict[Tuple[int, int], CPoly], dim: int, i: int, j: int, text: str
+) -> None:
+    """Store entry P^{ij} = text under its upper-triangular key, negated when i > j."""
+    if not (1 <= i <= dim and 1 <= j <= dim) or i == j:
+        raise ValueError(f"bivector indices ({i},{j}) out of range for dimension {dim}")
+    value = parse_expr(text.strip(), dim)
+    key, value = ((i, j), value) if i < j else ((j, i), -value)
+    if key in entries:
+        raise ValueError(f"duplicate bivector entry ({i},{j})")
+    entries[key] = value
+
+
+def _parse_metric(text: str, dim: int) -> HoloMetric:
+    metric = HoloMetric([[parse_constant(c) for c in row.split(",")] for row in text.split(";")])
+    if metric.n != dim:
+        raise ValueError(f"metric is {metric.n}x{metric.n} but the dimension is {dim}")
+    return metric
 
 
 @dataclass
@@ -68,13 +112,19 @@ class Manifest:
 _SECTIONS = ("dim", "poly", "field", "bivector", "metric", "volume", "task")
 
 
+def _at_line(lineno: int, build, *args):
+    """Call build(*args), reporting any ValueError at the given manifest line."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ManifestError(str(exc), lineno) from exc
+
+
 def parse_manifest(text: str) -> Manifest:
     dimension: Optional[int] = None
-    weight = GaussianRational(1)
-    poly_lines: List[Tuple[str, str, int]] = []
-    field_lines: List[Tuple[str, str, int]] = []
+    volume_line: Optional[Tuple[str, int]] = None
+    definitions: Dict[str, Dict[str, Tuple[str, int]]] = {"poly": {}, "field": {}, "metric": {}}
     bivector_lines: List[Tuple[str, int, int, str, int]] = []
-    metric_lines: List[Tuple[str, str, int]] = []
     tasks: List[Task] = []
 
     section = None
@@ -99,37 +149,27 @@ def parse_manifest(text: str) -> Manifest:
             if dimension < 1:
                 raise ManifestError("dimension must be positive", lineno)
         elif section == "volume":
-            try:
-                value = parse_expr(line, 0)
-            except ParseError as exc:
-                raise ManifestError(f"bad volume weight: {exc}", lineno)
-            if value.total_degree() > 0:
-                raise ManifestError("volume weight must be a constant", lineno)
-            weight = value.terms.get((), GaussianRational(0))
-            if not weight:
-                raise ManifestError("volume weight must be nonzero", lineno)
-        elif section in ("poly", "field", "metric"):
+            if volume_line is not None:
+                raise ManifestError("volume weight declared twice", lineno)
+            volume_line = (line, lineno)
+        elif section in definitions:
             if "=" not in line:
                 raise ManifestError("expected 'name = ...'", lineno)
             name, body = (part.strip() for part in line.split("=", 1))
             if not name.isidentifier():
                 raise ManifestError(f"bad name {name!r}", lineno)
-            target = {"poly": poly_lines, "field": field_lines, "metric": metric_lines}[section]
-            if any(existing == name for existing, _, _ in target):
+            if name in definitions[section]:
                 raise ManifestError(f"duplicate definition of {name!r}", lineno)
-            target.append((name, body, lineno))
+            definitions[section][name] = (body, lineno)
         elif section == "bivector":
-            if "=" not in line:
-                raise ManifestError("expected 'name i j = expr'", lineno)
-            head, body = (part.strip() for part in line.split("=", 1))
-            pieces = head.split()
-            if len(pieces) != 3:
-                raise ManifestError("bivector entries look like 'P 1 2 = expr'", lineno)
-            name = pieces[0]
             try:
-                i, j = int(pieces[1]), int(pieces[2])
+                head, body = line.split("=", 1)
+                name, i, j = head.split()
+                i, j = int(i), int(j)
             except ValueError:
-                raise ManifestError("bivector indices must be integers", lineno)
+                raise ManifestError("bivector entries look like 'P 1 2 = expr'", lineno) from None
+            if not name.isidentifier():
+                raise ManifestError(f"bad name {name!r}", lineno)
             bivector_lines.append((name, i, j, body, lineno))
         elif section == "task":
             pieces = line.split()
@@ -138,63 +178,29 @@ def parse_manifest(text: str) -> Manifest:
     if dimension is None:
         raise ManifestError("manifest must declare [dim]", 0)
 
-    def parse_body(body: str, lineno: int, nvars: int) -> CPoly:
-        try:
-            return parse_expr(body, nvars)
-        except ParseError as exc:
-            raise ManifestError(str(exc), lineno)
+    volume = VolumeForm(dimension)
+    if volume_line is not None:
+        weight, lineno = volume_line
+        volume = _at_line(lineno, lambda: VolumeForm(dimension, parse_constant(weight)))
 
-    polys: Dict[str, CPoly] = {}
-    for name, body, lineno in poly_lines:
-        polys[name] = parse_body(body, lineno, dimension)
+    def build(section: str, parse) -> dict:
+        return {
+            name: _at_line(lineno, parse, body, dimension)
+            for name, (body, lineno) in definitions[section].items()
+        }
 
-    fields: Dict[str, VectorField] = {}
-    for name, body, lineno in field_lines:
-        parts = [p.strip() for p in body.split(";")]
-        if len(parts) != dimension:
-            raise ManifestError(
-                f"field {name} needs {dimension} ';'-separated components, got {len(parts)}",
-                lineno,
-            )
-        fields[name] = VectorField(dimension, [parse_body(p, lineno, dimension) for p in parts])
-
-    bivectors: Dict[str, Bivector] = {}
+    polys = build("poly", parse_expr)
+    fields = build("field", parse_field)
     grouped: Dict[str, Dict[Tuple[int, int], CPoly]] = {}
     for name, i, j, body, lineno in bivector_lines:
-        if not (1 <= i <= dimension and 1 <= j <= dimension and i != j):
-            raise ManifestError(f"bivector indices ({i},{j}) out of range", lineno)
-        entry = parse_body(body, lineno, dimension)
-        grouped.setdefault(name, {})
-        key, value = ((i, j), entry) if i < j else ((j, i), -entry)
-        if key in grouped[name]:
-            raise ManifestError(f"duplicate bivector entry {name} {i} {j}", lineno)
-        grouped[name][key] = value
-    for name, comps in grouped.items():
-        bivectors[name] = Bivector(dimension, {k: v for k, v in comps.items() if v})
-
-    metrics: Dict[str, HoloMetric] = {}
-    for name, body, lineno in metric_lines:
-        rows = []
-        for row_text in body.split(";"):
-            row = []
-            for cell in row_text.split(","):
-                value = parse_body(cell.strip(), lineno, 0)
-                if value.total_degree() > 0:
-                    raise ManifestError("metric entries must be constants", lineno)
-                row.append(value.terms.get((), GaussianRational(0)))
-            rows.append(row)
-        try:
-            metrics[name] = HoloMetric(rows)
-        except ValueError as exc:
-            raise ManifestError(f"bad metric {name}: {exc}", lineno)
-
+        _at_line(lineno, add_bivector_entry, grouped.setdefault(name, {}), dimension, i, j, body)
     return Manifest(
         dimension=dimension,
         polys=polys,
         fields=fields,
-        bivectors=bivectors,
-        metrics=metrics,
-        volume=VolumeForm(dimension, weight),
+        bivectors={name: Bivector(dimension, entries) for name, entries in grouped.items()},
+        metrics=build("metric", _parse_metric),
+        volume=volume,
         tasks=tasks,
     )
 
@@ -205,8 +211,76 @@ def load_manifest(path: str) -> Manifest:
 
 
 # ---------------------------------------------------------------------------
-# task execution
+# task table and execution
 # ---------------------------------------------------------------------------
+
+
+# Object kinds of task arguments: the manifest section a name is looked up in.
+POLY, FIELD, BIVECTOR, METRIC = "polynomial", "field", "bivector", "metric"
+
+
+class TaskKind(NamedTuple):
+    """Argument object kinds of a task and the function that checks it.
+
+    `run(omega, *objects)` returns a residual (a CPoly, VectorField or
+    Trivector; the task passes exactly when it is zero) or, for a task that
+    is not a residual check, its own (verdict, residual, derived).  When
+    `variadic`, the last argument kind repeats one or more times.
+    """
+
+    args: Tuple[str, ...]
+    run: Callable[..., object]
+    variadic: bool = False
+
+
+def _darboux_search(omega: VolumeForm, field: VectorField, *candidates: CPoly):
+    solution = multipliers.darboux_multiplier_search(field, list(candidates), omega)
+    if solution is None:
+        return "inconsistent", "-", {}
+    return "found", "0", {
+        "exponents": [str(e) for e in solution.exponents],
+        "cofactors": [pair.cofactor.format() for pair in solution.basis],
+        "nullspace": [[str(x) for x in vec] for vec in solution.nullspace],
+    }
+
+
+def _unimodular(omega: VolumeForm, p: Bivector, h: CPoly):
+    return ("pass" if poisson.is_unimodular_with(p, h, omega) else "fail"), "-", {}
+
+
+# The library functions are looked up when a task runs, through their module
+# or this module's globals, so that wrappers installed on them see the call.
+TASKS: Dict[str, TaskKind] = {
+    "first_integral": TaskKind(
+        (POLY, FIELD), lambda omega, f, z: multipliers.is_first_integral(f, z).residual
+    ),
+    "last_multiplier": TaskKind(
+        (POLY, FIELD), lambda omega, a, z: multipliers.is_last_multiplier(a, z, omega).residual
+    ),
+    "inverse_multiplier": TaskKind(
+        (POLY, FIELD), lambda omega, b, z: multipliers.is_inverse_multiplier(b, z, omega).residual
+    ),
+    "darboux_search": TaskKind((FIELD, POLY), _darboux_search, variadic=True),
+    "jacobi": TaskKind((BIVECTOR,), lambda omega, p: poisson.jacobiator(p)),
+    "modular_zero": TaskKind((BIVECTOR,), lambda omega, p: poisson.modular_field(p, omega)),
+    "self_multiplier": TaskKind(
+        (POLY, BIVECTOR), lambda omega, f, p: poisson.self_multiplier_residual(f, p, omega)
+    ),
+    "bivector_lm": TaskKind(
+        (POLY, BIVECTOR), lambda omega, a, p: poisson.bivector_lm_check(a, p, omega).residual
+    ),
+    "casimir": TaskKind((POLY, BIVECTOR), lambda omega, f, p: poisson.hamiltonian_field(f, p)),
+    "unimodular": TaskKind((BIVECTOR, POLY), _unimodular),
+    "exactness": TaskKind((BIVECTOR,), lambda omega, p: poisson.exactness_check(p, omega).residual),
+    "hamiltonian_lm": TaskKind(
+        (POLY, POLY, BIVECTOR),
+        lambda omega, a, f, p: poisson.hamiltonian_lm_residual(a, f, p, omega),
+    ),
+    "gradient_lm": TaskKind(
+        (POLY, POLY, METRIC), lambda omega, a, f, g: gradient_lm_residual(a, f, g)
+    ),
+    "divergence_zero": TaskKind((FIELD,), lambda omega, z: divergence(z, omega)),
+}
 
 
 @dataclass
@@ -237,147 +311,52 @@ class Report:
         return 0 if self.all_ok else 1
 
 
-class _TaskContext:
-    def __init__(self, manifest: Manifest):
-        self.m = manifest
-
-    def poly(self, name: str, line: int) -> CPoly:
-        if name not in self.m.polys:
-            raise ManifestError(f"undefined polynomial {name!r}", line)
-        return self.m.polys[name]
-
-    def field(self, name: str, line: int) -> VectorField:
-        if name not in self.m.fields:
-            raise ManifestError(f"undefined field {name!r}", line)
-        return self.m.fields[name]
-
-    def bivector(self, name: str, line: int) -> Bivector:
-        if name not in self.m.bivectors:
-            raise ManifestError(f"undefined bivector {name!r}", line)
-        return self.m.bivectors[name]
-
-    def metric(self, name: str, line: int) -> HoloMetric:
-        if name not in self.m.metrics:
-            raise ManifestError(f"undefined metric {name!r}", line)
-        return self.m.metrics[name]
+def _bind(task: Task, objects: Dict[str, dict]) -> Tuple[TaskKind, list]:
+    """Look up the task's kind and argument objects, checking the arity."""
+    spec = TASKS.get(task.kind)
+    if spec is None:
+        raise ManifestError(f"unknown task kind {task.kind!r}", task.line)
+    kinds = spec.args
+    if spec.variadic and len(task.args) > len(kinds):
+        kinds += (kinds[-1],) * (len(task.args) - len(kinds))
+    if len(task.args) != len(kinds):
+        least = "at least " if spec.variadic else ""
+        raise ManifestError(f"task {task.kind} takes {least}{len(spec.args)} arguments", task.line)
+    values = []
+    for kind, name in zip(kinds, task.args):
+        if name not in objects[kind]:
+            raise ManifestError(f"undefined {kind} {name!r}", task.line)
+        values.append(objects[kind][name])
+    return spec, values
 
 
-def _field_summary(field: VectorField) -> str:
-    worst = next((c for c in field.components if c), None)
-    if worst is None:
-        return "0"
-    return poly_summary(worst)
+def _judge(residual) -> Tuple[str, str, Dict[str, object]]:
+    """Verdict and summary of a residual: pass when it is zero, else its first nonzero part."""
+    if isinstance(residual, VectorField):
+        parts = residual.components
+    elif isinstance(residual, Trivector):
+        parts = list(residual.comps.values())
+    else:
+        parts = [residual]
+    worst = next((c for c in parts if c), None)
+    return ("pass", "0", {}) if worst is None else ("fail", poly_summary(worst), {})
 
 
 def run_tasks(manifest: Manifest, include_timings: bool = False) -> Report:
-    ctx = _TaskContext(manifest)
-    omega = manifest.volume
+    objects = {POLY: manifest.polys, FIELD: manifest.fields, BIVECTOR: manifest.bivectors,
+               METRIC: manifest.metrics}
+    bound = [(task, *_bind(task, objects)) for task in manifest.tasks]
     records: List[TaskRecord] = []
-    for task_id, task in enumerate(manifest.tasks, start=1):
+    for task_id, (task, spec, values) in enumerate(bound, start=1):
         started = time.perf_counter()
-        kind, args, line = task.kind, task.args, task.line
-
-        def need(count: int):
-            if len(args) != count:
-                raise ManifestError(f"task {kind} takes {count} arguments", line)
-
-        derived: Dict[str, object] = {}
-        if kind == "first_integral":
-            need(2)
-            check = multipliers.is_first_integral(ctx.poly(args[0], line), ctx.field(args[1], line))
-            verdict, residual = ("pass" if check.ok else "fail"), poly_summary(check.residual)
-        elif kind == "last_multiplier":
-            need(2)
-            check = multipliers.is_last_multiplier(
-                ctx.poly(args[0], line), ctx.field(args[1], line), omega
-            )
-            verdict, residual = ("pass" if check.ok else "fail"), poly_summary(check.residual)
-        elif kind == "inverse_multiplier":
-            need(2)
-            check = multipliers.is_inverse_multiplier(
-                ctx.poly(args[0], line), ctx.field(args[1], line), omega
-            )
-            verdict, residual = ("pass" if check.ok else "fail"), poly_summary(check.residual)
-        elif kind == "darboux_search":
-            if len(args) < 2:
-                raise ManifestError("darboux_search needs a field and at least one candidate", line)
-            base = ctx.field(args[0], line)
-            candidates = [ctx.poly(a, line) for a in args[1:]]
-            try:
-                solution = multipliers.darboux_multiplier_search(base, candidates, omega)
-            except ValueError as exc:
-                raise ManifestError(str(exc), line)
-            if solution is None:
-                verdict, residual = "inconsistent", "-"
-            else:
-                verdict, residual = "found", "0"
-                derived["exponents"] = [str(e) for e in solution.exponents]
-                derived["cofactors"] = [pair.cofactor.format() for pair in solution.basis]
-                derived["nullspace"] = [[str(x) for x in vec] for vec in solution.nullspace]
-        elif kind == "jacobi":
-            need(1)
-            defect = poisson.jacobiator(ctx.bivector(args[0], line))
-            ok = defect.is_zero()
-            worst = next(iter(defect.comps.values()), None)
-            verdict, residual = ("pass" if ok else "fail"), ("0" if ok else poly_summary(worst))
-        elif kind == "modular_zero":
-            need(1)
-            mod = poisson.modular_field(ctx.bivector(args[0], line), omega)
-            verdict, residual = ("pass" if mod.is_zero() else "fail"), _field_summary(mod)
-        elif kind == "self_multiplier":
-            need(2)
-            res = poisson.self_multiplier_residual(
-                ctx.poly(args[0], line), ctx.bivector(args[1], line), omega
-            )
-            verdict, residual = ("pass" if res.is_zero() else "fail"), poly_summary(res)
-        elif kind == "bivector_lm":
-            need(2)
-            check = poisson.bivector_lm_check(
-                ctx.poly(args[0], line), ctx.bivector(args[1], line), omega
-            )
-            verdict, residual = ("pass" if check.ok else "fail"), _field_summary(check.residual)
-        elif kind == "casimir":
-            need(2)
-            ham = poisson.hamiltonian_field(ctx.poly(args[0], line), ctx.bivector(args[1], line))
-            verdict, residual = ("pass" if ham.is_zero() else "fail"), _field_summary(ham)
-        elif kind == "unimodular":
-            need(2)
-            ok = poisson.is_unimodular_with(
-                ctx.bivector(args[0], line), ctx.poly(args[1], line), omega
-            )
-            verdict, residual = ("pass" if ok else "fail"), "-"
-        elif kind == "exactness":
-            need(1)
-            result = poisson.exactness_check(ctx.bivector(args[0], line), omega)
-            verdict, residual = (
-                ("pass" if result.exact else "fail"),
-                _field_summary(result.residual),
-            )
-        elif kind == "hamiltonian_lm":
-            need(3)
-            res = poisson.hamiltonian_lm_residual(
-                ctx.poly(args[0], line), ctx.poly(args[1], line), ctx.bivector(args[2], line), omega
-            )
-            verdict, residual = ("pass" if res.is_zero() else "fail"), poly_summary(res)
-        elif kind == "gradient_lm":
-            need(3)
-            res = gradient_lm_residual(
-                ctx.poly(args[0], line), ctx.poly(args[1], line), ctx.metric(args[2], line)
-            )
-            verdict, residual = ("pass" if res.is_zero() else "fail"), poly_summary(res)
-        elif kind == "divergence_zero":
-            need(1)
-            div = divergence(ctx.field(args[0], line), omega)
-            verdict, residual = ("pass" if div.is_zero() else "fail"), poly_summary(div)
-        else:
-            raise ManifestError(f"unknown task kind {kind!r}", line)
-
+        result = _at_line(task.line, spec.run, manifest.volume, *values)
+        verdict, residual, derived = result if isinstance(result, tuple) else _judge(result)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         records.append(
             TaskRecord(
                 task_id=task_id,
-                kind=kind,
-                args=list(args),
+                kind=task.kind,
+                args=list(task.args),
                 verdict=verdict,
                 residual=residual,
                 derived=derived,

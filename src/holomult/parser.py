@@ -9,6 +9,7 @@ Grammar (whitespace insignificant, no implicit multiplication):
     rational:=  integer ('/' positive-integer)?
 
 A leading minus is accepted so canonically formatted polynomials round-trip.
+Parentheses nest at most `MAX_DEPTH` deep, so the recursion stays bounded.
 Every error carries the 0-based position in the input text.
 """
 
@@ -19,6 +20,8 @@ from typing import List, NamedTuple
 
 from .poly import CPoly
 from .scalars import GaussianRational
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -79,6 +82,7 @@ class _Parser:
         self.tokens = tokens
         self.nvars = nvars
         self.idx = 0
+        self.depth = 0
 
     @property
     def current(self) -> Token:
@@ -155,8 +159,12 @@ class _Parser:
                 )
             return CPoly.var(self.nvars, index)
         if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok.pos)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
