@@ -2,10 +2,12 @@
 
 Vector fields carry one component per coordinate from their class's `ring`
 (CPoly here, RPoly in the realified subclass); `apply_field`, `divergence`
-and `lie_bracket` work over either.  Multivectors and forms carry CPoly
-components indexed by strictly increasing 1-based index tuples.  Grade-0
-objects are plain CPoly scalars: operations that land in grade 0 return the
-scalar directly.
+and `lie_bracket` work over either.  Multivectors and forms are one skew
+container, `_Graded`: components from its `ring` (CPoly by default) indexed
+by strictly increasing 1-based index tuples, zero components dropped.  A
+bivector (`poisson.Bivector`) is a grade-2 multivector and a Jacobiator a
+grade-3 one.  Grade-0 objects are plain CPoly scalars: operations that land
+in grade 0 return the scalar directly.
 
 The interior-product sign convention is fixed once: for a decomposable
 multivector with increasing factors, contraction starts with the lowest
@@ -69,31 +71,52 @@ def _remove_index(idx: int, indices: IndexSet):
     return sign, indices[:pos] + indices[pos + 1:]
 
 
+def _accumulate(out: Dict[IndexSet, CPoly], key: IndexSet, value: CPoly) -> None:
+    """Add value to out[key], dropping the key when the sum is zero."""
+    total = out[key] + value if key in out else value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
 class _Graded:
-    """Shared container for multivectors and forms of grade >= 1."""
+    """Shared container for multivectors and forms of grade >= 1 over `ring`.
 
-    __slots__ = ("n", "grade", "comps")
+    A grade above n is allowed and can only hold zero: every index set is
+    rejected.
+    """
 
-    def __init__(self, n: int, grade: int, comps: Dict[IndexSet, CPoly] | None = None):
-        if not 1 <= grade <= n:
-            raise ValueError(f"grade {grade} out of range 1..{n}")
+    __slots__ = ("n", "grade", "comps", "ring")
+
+    def __init__(self, n: int, grade: int, comps: Dict[IndexSet, CPoly] | None = None, ring=CPoly):
+        if grade < 1:
+            raise ValueError(f"grade {grade} must be at least 1")
         self.n = n
         self.grade = grade
-        clean: Dict[IndexSet, CPoly] = {}
-        if comps:
-            for indices, poly in comps.items():
-                indices = tuple(indices)
-                _check_index_set(indices, grade, n)
-                if poly.nvars != n:
-                    raise ValueError("component variable count differs from dimension")
-                if poly:
-                    clean[indices] = clean[indices] + poly if indices in clean else poly
-                    if not clean[indices]:
-                        del clean[indices]
-        self.comps = clean
+        self.ring = ring
+        self.comps: Dict[IndexSet, CPoly] = {}
+        for indices, poly in (comps or {}).items():
+            indices = tuple(indices)
+            _check_index_set(indices, grade, n)
+            if poly.nvars != n:
+                raise ValueError("component variable count differs from dimension")
+            _accumulate(self.comps, indices, poly)
 
-    def component(self, indices: IndexSet) -> CPoly:
-        return self.comps.get(tuple(indices), CPoly.zero(self.n))
+    def _like(self, comps: Dict[IndexSet, CPoly]):
+        """An object of this class, dimension, grade and ring with other components."""
+        out = object.__new__(type(self))
+        _Graded.__init__(out, self.n, self.grade, comps, self.ring)
+        return out
+
+    def _space(self):
+        return self.n, self.grade, self.ring
+
+    def component(self, *indices) -> CPoly:
+        """The component at an index set, given as one tuple or as separate indices."""
+        if len(indices) == 1 and not isinstance(indices[0], int):
+            indices = indices[0]
+        return self.comps.get(tuple(indices), self.ring.zero(self.n))
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -104,35 +127,31 @@ class _Graded:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and self.grade == other.grade and self.comps == other.comps
+        return self._space() == other._space() and self.comps == other.comps
 
     def __hash__(self):
         return hash((type(self).__name__, self.n, self.grade, frozenset(self.comps.items())))
 
     def __add__(self, other):
-        if type(other) is not type(self) or other.n != self.n or other.grade != self.grade:
+        if type(other) is not type(self) or other._space() != self._space():
             raise ValueError("can only add matching graded objects")
         out = dict(self.comps)
         for k, v in other.comps.items():
-            acc = out.get(k, CPoly.zero(self.n)) + v
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return type(self)(self.n, self.grade, out)
+            _accumulate(out, k, v)
+        return self._like(out)
 
     def __neg__(self):
-        return type(self)(self.n, self.grade, {k: -v for k, v in self.comps.items()})
+        return self._like({k: -v for k, v in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, poly_or_scalar):
-        if isinstance(poly_or_scalar, CPoly):
+        if isinstance(poly_or_scalar, self.ring):
             factor = poly_or_scalar
         else:
-            factor = CPoly.const(self.n, poly_or_scalar)
-        return type(self)(self.n, self.grade, {k: v * factor for k, v in self.comps.items()})
+            factor = self.ring.const(self.n, poly_or_scalar)
+        return self._like({k: v * factor for k, v in self.comps.items()})
 
     def __repr__(self):
         body = ", ".join(f"{k}: {v.format()}" for k, v in sorted(self.comps.items()))
@@ -291,12 +310,13 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
         return b.scale(a)
     if isinstance(b, CPoly):
         return a.scale(b)
-    if type(a) is not type(b) or a.n != b.n:
+    kind = Form if isinstance(a, Form) else Multivector
+    if not isinstance(b, kind) or a.n != b.n:
         raise ValueError("wedge needs matching object kinds and dimensions")
     grade = a.grade + b.grade
     if grade > a.n:
         # identically zero beyond the top grade; keep an empty top container
-        return type(a)(a.n, a.n, {})
+        return kind(a.n, a.n, {}, a.ring)
     out: Dict[IndexSet, CPoly] = {}
     for ka, va in a.comps.items():
         for kb, vb in b.comps.items():
@@ -304,13 +324,8 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
             if merged is None:
                 continue
             sign, key = merged
-            term = va * vb if sign > 0 else -(va * vb)
-            acc = out.get(key, CPoly.zero(a.n)) + term
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return type(a)(a.n, grade, out)
+            _accumulate(out, key, va * vb if sign > 0 else -(va * vb))
+    return kind(a.n, grade, out, a.ring)
 
 
 def partial_d(phi: GradedOrScalar) -> Form:
@@ -330,13 +345,8 @@ def partial_d(phi: GradedOrScalar) -> Form:
             if merged is None:
                 continue
             sign, newkey = merged
-            term = d if sign > 0 else -d
-            acc = out.get(newkey, CPoly.zero(phi.n)) + term
-            if acc:
-                out[newkey] = acc
-            else:
-                out.pop(newkey, None)
-    return Form(phi.n, phi.grade + 1, out)
+            _accumulate(out, newkey, d if sign > 0 else -d)
+    return Form(phi.n, phi.grade + 1, out, phi.ring)
 
 
 def interior_product(a, phi):
@@ -359,8 +369,7 @@ def interior_product(a, phi):
     if a.grade > phi.grade:
         return CPoly.zero(a.n)
     result_grade = phi.grade - a.grade
-    out: Dict[IndexSet, CPoly] = {}
-    scalar = CPoly.zero(a.n)
+    out: Dict[IndexSet, CPoly] = {}  # grade 0 lands under the key ()
     for ka, va in a.comps.items():
         for kf, vf in phi.comps.items():
             sign = 1
@@ -375,18 +384,10 @@ def interior_product(a, phi):
                 sign *= s
             if not ok:
                 continue
-            term = va * vf if sign > 0 else -(va * vf)
-            if result_grade == 0:
-                scalar = scalar + term
-            else:
-                acc = out.get(rest, CPoly.zero(a.n)) + term
-                if acc:
-                    out[rest] = acc
-                else:
-                    out.pop(rest, None)
+            _accumulate(out, rest, va * vf if sign > 0 else -(va * vf))
     if result_grade == 0:
-        return scalar
-    return Form(a.n, result_grade, out)
+        return out.get((), phi.ring.zero(a.n))
+    return Form(a.n, result_grade, out, phi.ring)
 
 
 def pairing(phi: Form, a) -> CPoly:
@@ -417,8 +418,6 @@ def pairing(phi: Form, a) -> CPoly:
 
 def flat(a, omega: VolumeForm):
     """Lower a multivector to a form by contracting into the volume form."""
-    if isinstance(a, VectorField):
-        a = Multivector.from_field(a)
     n = omega.n
     top = Form(n, n, {tuple(range(1, n + 1)): CPoly.const(n, omega.weight)})
     if isinstance(a, CPoly):
@@ -469,8 +468,6 @@ def curl(a, omega: VolumeForm):
     Grade-1 input returns the divergence as a scalar; the constant weight
     cancels between flat and sharp.
     """
-    if isinstance(a, VectorField):
-        a = Multivector.from_field(a)
     if isinstance(a, CPoly):
         raise ValueError("curl needs grade >= 1")
     lowered = flat(a, omega)

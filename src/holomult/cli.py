@@ -45,7 +45,7 @@ def _parse_bivector(text: str, dim: int) -> Bivector:
 
 
 def _volume(args) -> VolumeForm:
-    return VolumeForm(args.dim, parse_constant(args.volume_weight))
+    return VolumeForm(args.dim, parse_constant(args.volume_weight, "volume weight"))
 
 
 def _write(output: str, args) -> None:

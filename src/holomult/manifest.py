@@ -37,10 +37,10 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import multipliers, poisson
-from .calculus import VectorField, VolumeForm, divergence
+from .calculus import Multivector, VectorField, VolumeForm, divergence
 from .metric import HoloMetric, gradient_lm_residual
 from .parser import parse_expr
-from .poisson import Bivector, Trivector
+from .poisson import Bivector
 from .poly import CPoly, poly_summary
 from .scalars import GaussianRational
 
@@ -66,8 +66,10 @@ def parse_field(text: str, dim: int) -> VectorField:
     return VectorField(dim, [parse_expr(p, dim) for p in parts])
 
 
-def parse_constant(text: str) -> GaussianRational:
-    """A constant expression; any variable is out of range (dimension 0)."""
+def parse_constant(text: str, slot: str) -> GaussianRational:
+    """A constant expression for the named slot (e.g. "volume weight")."""
+    if "z" in text:  # the grammar's only use of 'z' is a variable
+        raise ValueError(f"{slot} must be a constant, got {text.strip()!r}")
     return parse_expr(text, 0).terms.get((), GaussianRational(0))
 
 
@@ -85,7 +87,8 @@ def add_bivector_entry(
 
 
 def _parse_metric(text: str, dim: int) -> HoloMetric:
-    metric = HoloMetric([[parse_constant(c) for c in row.split(",")] for row in text.split(";")])
+    rows = [[parse_constant(c, "metric entry") for c in row.split(",")] for row in text.split(";")]
+    metric = HoloMetric(rows)
     if metric.n != dim:
         raise ValueError(f"metric is {metric.n}x{metric.n} but the dimension is {dim}")
     return metric
@@ -181,7 +184,9 @@ def parse_manifest(text: str) -> Manifest:
     volume = VolumeForm(dimension)
     if volume_line is not None:
         weight, lineno = volume_line
-        volume = _at_line(lineno, lambda: VolumeForm(dimension, parse_constant(weight)))
+        volume = _at_line(
+            lineno, lambda: VolumeForm(dimension, parse_constant(weight, "volume weight"))
+        )
 
     def build(section: str, parse) -> dict:
         return {
@@ -223,7 +228,7 @@ class TaskKind(NamedTuple):
     """Argument object kinds of a task and the function that checks it.
 
     `run(omega, *objects)` returns a residual (a CPoly, VectorField or
-    Trivector; the task passes exactly when it is zero) or, for a task that
+    Multivector; the task passes exactly when it is zero) or, for a task that
     is not a residual check, its own (verdict, residual, derived).  When
     `variadic`, the last argument kind repeats one or more times.
     """
@@ -334,7 +339,7 @@ def _judge(residual) -> Tuple[str, str, Dict[str, object]]:
     """Verdict and summary of a residual: pass when it is zero, else its first nonzero part."""
     if isinstance(residual, VectorField):
         parts = residual.components
-    elif isinstance(residual, Trivector):
+    elif isinstance(residual, Multivector):
         parts = list(residual.comps.values())
     else:
         parts = [residual]

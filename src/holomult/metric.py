@@ -73,20 +73,25 @@ class HoloMetric:
         return f"HoloMetric(n={self.n}, det_sqrt={self.vol_factor})"
 
 
-def gradient(f: CPoly, metric: HoloMetric) -> VectorField:
-    """Field metrically dual to df: components sum_i ginv^{ij} df/dz^i."""
-    n = metric.n
+def _raise_index(f, inverse, field_class):
+    """The field_class field with components sum_i inverse[i][j] * df/dz^i."""
+    n = len(inverse)
     if f.nvars != n:
         raise ValueError("dimension mismatch with metric")
     partials = [f.diff(i) for i in range(1, n + 1)]
     comps = []
     for j in range(n):
-        acc = CPoly.zero(n)
+        acc = field_class.ring.zero(n)
         for i in range(n):
-            if metric.ginv[i][j]:
-                acc = acc + partials[i].scale(metric.ginv[i][j])
+            if inverse[i][j]:
+                acc = acc + partials[i].scale(inverse[i][j])
         comps.append(acc)
-    return VectorField(n, comps)
+    return field_class(n, comps)
+
+
+def gradient(f: CPoly, metric: HoloMetric) -> VectorField:
+    """Field metrically dual to df: components sum_i ginv^{ij} df/dz^i."""
+    return _raise_index(f, metric.ginv, VectorField)
 
 
 def laplacian(f: CPoly, metric: HoloMetric) -> CPoly:

@@ -9,6 +9,7 @@ points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -85,6 +86,9 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
     Stops early (flagging the trajectory truncated) if the state leaves the
     finite floats.
     """
+    for name, value in (("step", step), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0 or t_end <= 0:
         raise ValueError("step and t_end must be positive")
     x0 = np.asarray(x0, dtype=float)
@@ -130,9 +134,9 @@ def residual_sample(p, count: int, seed: int, box: float = 1.0) -> float:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = SplitMix64(seed)
     worst = 0.0
     if isinstance(p, CPoly):
+        rng = SplitMix64(seed)
         for _ in range(count):
             point = [
                 complex(rng.next_symmetric(box), rng.next_symmetric(box))
@@ -142,8 +146,7 @@ def residual_sample(p, count: int, seed: int, box: float = 1.0) -> float:
         return worst
     if isinstance(p, RPoly):
         fn = _compile_rpoly(p)
-        for _ in range(count):
-            point = np.array([rng.next_symmetric(box) for _ in range(p.nvars)])
+        for point in sample_points(p.nvars, count, seed, box):
             worst = max(worst, abs(fn(point)))
         return worst
     raise TypeError("residual_sample expects a CPoly or RPoly")

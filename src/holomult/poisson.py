@@ -1,10 +1,12 @@
 """Holomorphic Poisson bivectors: brackets, Jacobi, modular fields, exactness.
 
-A bivector stores only its strictly upper-triangular components; the lower
-triangle is implied by antisymmetry.  The class attribute `field` is the
-class of its Hamiltonian and modular fields and `field.ring` the class of its
-components, so the realified subclass runs the same code.  Nothing here
-assumes the bivector is Poisson -- the Jacobi test is itself an operation.
+A bivector is a grade-2 `Multivector`: it stores only its strictly
+upper-triangular components, and the lower triangle is implied by
+antisymmetry.  The class attribute `field` is the class of its Hamiltonian
+and modular fields and `field.ring` the ring of its components, so the
+realified subclass runs the same code.  The Jacobiator is a grade-3
+multivector over the same ring.  Nothing here assumes the bivector is
+Poisson -- the Jacobi test is itself an operation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .calculus import (
     Multivector,
     VectorField,
     VolumeForm,
+    _accumulate,
     apply_field,
     curl,
     divergence,
@@ -27,24 +30,14 @@ from .metric import HoloMetric, gradient
 from .poly import CPoly
 
 
-class Bivector:
-    __slots__ = ("n", "comps")
+class Bivector(Multivector):
+    __slots__ = ()
     field = VectorField
 
     def __init__(self, n: int, comps: Dict[Tuple[int, int], CPoly] | None = None):
         if n < 2:
             raise ValueError("bivectors need dimension >= 2")
-        self.n = n
-        clean: Dict[Tuple[int, int], CPoly] = {}
-        if comps:
-            for (i, j), poly in comps.items():
-                if not 1 <= i < j <= n:
-                    raise ValueError(f"bivector key {(i, j)} must satisfy 1 <= i < j <= n")
-                if poly.nvars != n:
-                    raise ValueError("component variable count differs from dimension")
-                if poly:
-                    clean[(i, j)] = poly
-        self.comps = clean
+        super().__init__(n, 2, comps, self.field.ring)
 
     @classmethod
     def from_entries(cls, n: int, entries: Dict[Tuple[int, int], CPoly]) -> "Bivector":
@@ -56,47 +49,18 @@ class Bivector:
                     raise ValueError("diagonal bivector entries must vanish")
                 continue
             key, value = ((i, j), poly) if i < j else ((j, i), -poly)
-            upper[key] = upper.get(key, cls.field.ring.zero(n)) + value
+            _accumulate(upper, key, value)
         return cls(n, upper)
 
     def entry(self, i: int, j: int) -> CPoly:
         """Signed component P^{ij} for any index pair."""
-        zero = self.field.ring.zero(self.n)
         if i == j:
-            return zero
-        if i < j:
-            return self.comps.get((i, j), zero)
-        return -self.comps.get((j, i), zero)
-
-    def to_multivector(self) -> Multivector:
-        return Multivector(self.n, 2, dict(self.comps))
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n and self.comps == other.comps
-
-    def __repr__(self):
-        body = ", ".join(f"{k}: {v.format()}" for k, v in sorted(self.comps.items()))
-        return f"{type(self).__name__}(n={self.n}, {{{body}}})"
+            return self.ring.zero(self.n)
+        return self.component(i, j) if i < j else -self.component(j, i)
 
 
-@dataclass
-class Trivector:
-    """Grade-3 skew data over `ring`; used to report the Jacobi defect of a bivector."""
-
-    n: int
-    comps: Dict[Tuple[int, int, int], CPoly]
-    ring: type = CPoly
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def component(self, i: int, j: int, k: int) -> CPoly:
-        return self.comps.get((i, j, k), self.ring.zero(self.n))
+# the Jacobi defect of a bivector is a grade-3 multivector
+Trivector = Multivector
 
 
 def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
@@ -108,7 +72,7 @@ def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
     return out
 
 
-def jacobiator(p: Bivector) -> Trivector:
+def jacobiator(p: Bivector) -> Multivector:
     """Cyclic bracket sum over coordinate triples; zero exactly for Poisson."""
     comps: Dict[Tuple[int, int, int], CPoly] = {}
     ring = p.field.ring
@@ -122,9 +86,8 @@ def jacobiator(p: Bivector) -> Trivector:
                     + poisson_bracket(p.entry(j, k), zi, p)
                     + poisson_bracket(p.entry(k, i), zj, p)
                 )
-                if total:
-                    comps[(i, j, k)] = total
-    return Trivector(p.n, comps, ring)
+                comps[(i, j, k)] = total
+    return Multivector(p.n, 3, comps, ring)
 
 
 def is_poisson(p: Bivector) -> bool:
@@ -210,7 +173,7 @@ def exactness_check(p: Bivector, omega: VolumeForm) -> ExactnessResult:
     when the modular components do, and "exact and Poisson" coincides with
     "zero modular components and zero triple divergences".
     """
-    curled = curl(p.to_multivector(), omega)
+    curled = curl(p, omega)
     residual = curled.to_field()
     exact = residual.is_zero()
     if p.n >= 3:
@@ -276,8 +239,7 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> BivectorM
         comps.append(acc)
     direct = VectorField(p.n, comps)
     # route 2: curl of alpha*P via flat / exterior derivative / sharp
-    scaled = Multivector(p.n, 2, {k: alpha * v for k, v in p.comps.items()})
-    via_forms = curl(scaled, omega).to_field()
+    via_forms = curl(p.scale(alpha), omega).to_field()
     if via_forms != direct:
         raise AssertionError("componentwise and form-calculus routes disagree")
     # route 3: cleared modular field of the alpha-weighted volume
@@ -317,7 +279,7 @@ def dim4_exactness(p: Bivector, omega: VolumeForm, vanish_point=None) -> Dim4Exa
     """
     if p.n != 4:
         raise ValueError("this check applies to dimension 4 only")
-    lowered = flat(p.to_multivector(), omega)
+    lowered = flat(p, omega)
     square = wedge(lowered, lowered)
     pf = pfaffian4(p)
     top = (1, 2, 3, 4)
@@ -347,7 +309,7 @@ def exact_hamiltonian_check(h: CPoly, p: Bivector, metric: HoloMetric) -> bool:
     if metric.n != p.n:
         raise ValueError("dimension mismatch")
     omega = metric.volume()
-    curl_field = curl(p.to_multivector(), omega).to_field()
+    curl_field = curl(p, omega).to_field()
     paired = metric.pair_fields(curl_field, gradient(h, metric))
     applied = apply_field(curl_field, h)
     if paired != applied:

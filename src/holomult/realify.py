@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .calculus import VectorField, VolumeForm, apply_field, divergence
 from .linsolve import invert_matrix
-from .metric import HoloMetric
+from .metric import HoloMetric, _raise_index
 from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
 from .poly import CPoly, RPoly
 
@@ -169,19 +169,7 @@ def realify_metric(metric: HoloMetric) -> RealMetric:
 
 def real_gradient(u: RPoly, metric: RealMetric, which: str = "h") -> RealVectorField:
     """Gradient of u under the chosen twin metric, using the exact inverse."""
-    inv = metric.inverse_blocks(which)
-    size = 2 * metric.n
-    if u.nvars != size:
-        raise ValueError("dimension mismatch with real metric")
-    partials = [u.diff(a) for a in range(1, size + 1)]
-    comps = []
-    for bcol in range(size):
-        acc = RPoly.zero(size)
-        for arow in range(size):
-            if inv[arow][bcol]:
-                acc = acc + partials[arow].scale(inv[arow][bcol])
-        comps.append(acc)
-    return RealVectorField(size, comps)
+    return _raise_index(u, metric.inverse_blocks(which), RealVectorField)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +199,15 @@ def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
         for j in range(1, n + 1):
             if i < j:
                 splits[(i, j)] = p.entry(i, j).realify_split()
+    # each key below is written once; RealBivector drops the zero components
     re_comps: Dict[Tuple[int, int], RPoly] = {}
     im_comps: Dict[Tuple[int, int], RPoly] = {}
-
-    def put(store, key, value):
-        if value:
-            store[key] = store.get(key, RPoly.zero(size)) + value
-
     for (i, j), (re, im) in splits.items():
         # x_i ^ x_j and y_i ^ y_j blocks
-        put(re_comps, (i, j), re.scale(quarter))
-        put(re_comps, (n + i, n + j), re.scale(-quarter))
-        put(im_comps, (i, j), im.scale(quarter))
-        put(im_comps, (n + i, n + j), im.scale(-quarter))
+        re_comps[(i, j)] = re.scale(quarter)
+        re_comps[(n + i, n + j)] = re.scale(-quarter)
+        im_comps[(i, j)] = im.scale(quarter)
+        im_comps[(n + i, n + j)] = im.scale(-quarter)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -231,8 +215,8 @@ def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
             re, im = splits[(i, j)] if i < j else splits[(j, i)]
             sign = 1 if i < j else -1
             # x_i ^ y_j block: Im for the real structure, -Re for the other
-            put(re_comps, (i, n + j), im.scale(sign * quarter))
-            put(im_comps, (i, n + j), re.scale(-sign * quarter))
+            re_comps[(i, n + j)] = im.scale(sign * quarter)
+            im_comps[(i, n + j)] = re.scale(-sign * quarter)
     return RealBivector(size, re_comps), RealBivector(size, im_comps)
 
 
