@@ -1,13 +1,16 @@
 """Exterior and Lie calculus for polynomial holomorphic data on C^n.
 
 Vector fields carry one component per coordinate from their class's `ring`
-(CPoly here, RPoly in the realified subclass); `apply_field`, `divergence`
-and `lie_bracket` work over either.  Multivectors and forms are one skew
-container, `_Graded`: components from its `ring` (CPoly by default) indexed
-by strictly increasing 1-based index tuples, zero components dropped.  A
-bivector (`poisson.Bivector`) is a grade-2 multivector and a Jacobiator a
-grade-3 one.  Grade-0 objects are plain CPoly scalars: operations that land
-in grade 0 return the scalar directly.
+(CPoly for `VectorField`, RPoly for `RealVectorField`); `apply_field`,
+`divergence` and `lie_bracket` work over either.  Multivectors and forms are
+one skew container, `_Graded`: components from its `ring` (CPoly by
+default) indexed by strictly increasing 1-based index tuples, zero
+components dropped.  A bivector (`poisson.Bivector`) is a grade-2
+multivector and a Jacobiator a grade-3 one.  Grade-0 objects are plain
+polynomial scalars: operations that land in grade 0 return the scalar
+directly.  Every operation builds its result in the ring of its operands,
+so wedge, interior product, pairing, flat, sharp and curl run on the real
+side as they do on the complex one.
 
 The interior-product sign convention is fixed once: for a decomposable
 multivector with increasing factors, contraction starts with the lowest
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple, Union
 
-from .poly import CPoly
+from .poly import CPoly, RPoly, _BasePoly
 from .scalars import GaussianRational
 
 IndexSet = Tuple[int, ...]
@@ -165,12 +168,15 @@ class Multivector(_Graded):
 
     @classmethod
     def from_field(cls, field: "VectorField") -> "Multivector":
-        return cls(field.n, 1, {(i,): field.components[i - 1] for i in range(1, field.n + 1)})
+        comps = {(i,): field.components[i - 1] for i in range(1, field.n + 1)}
+        return cls(field.n, 1, comps, field.ring)
 
     def to_field(self) -> "VectorField":
+        """The vector field of a grade-1 multivector, of the field class of its ring."""
         if self.grade != 1:
             raise ValueError("only grade-1 multivectors convert to vector fields")
-        return VectorField(self.n, [self.component((i,)) for i in range(1, self.n + 1)])
+        field = _FIELD_OF_RING[self.ring]
+        return field(self.n, [self.component((i,)) for i in range(1, self.n + 1)])
 
 
 class Form(_Graded):
@@ -241,6 +247,17 @@ class VectorField:
         return f"{type(self).__name__}({self.n}, [{', '.join(c.format() for c in self.components)}])"
 
 
+class RealVectorField(VectorField):
+    """Vector field on R^{2n} with exact rational-polynomial components."""
+
+    __slots__ = ()
+    ring = RPoly
+
+
+# the vector-field class whose components live in each ring
+_FIELD_OF_RING = {CPoly: VectorField, RPoly: RealVectorField}
+
+
 class VolumeForm:
     """Constant-weight top form: weight * dz1 ^ ... ^ dzn with weight != 0."""
 
@@ -299,16 +316,16 @@ def divergence(field: VectorField, omega: VolumeForm) -> CPoly:
 # forms: wedge, exterior derivative, interior product
 # ---------------------------------------------------------------------------
 
-GradedOrScalar = Union[_Graded, CPoly]
+GradedOrScalar = Union[_Graded, _BasePoly]
 
 
 def wedge(a: GradedOrScalar, b: GradedOrScalar):
     """Wedge product of two forms or two multivectors (scalars act by product)."""
-    if isinstance(a, CPoly) and isinstance(b, CPoly):
+    if isinstance(a, _BasePoly) and isinstance(b, _BasePoly):
         return a * b
-    if isinstance(a, CPoly):
+    if isinstance(a, _BasePoly):
         return b.scale(a)
-    if isinstance(b, CPoly):
+    if isinstance(b, _BasePoly):
         return a.scale(b)
     kind = Form if isinstance(a, Form) else Multivector
     if not isinstance(b, kind) or a.n != b.n:
@@ -329,10 +346,10 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
 
 
 def partial_d(phi: GradedOrScalar) -> Form:
-    """Holomorphic exterior derivative of a form (a CPoly counts as a 0-form)."""
-    if isinstance(phi, CPoly):
+    """Holomorphic exterior derivative of a form (a polynomial counts as a 0-form)."""
+    if isinstance(phi, _BasePoly):
         nv = phi.nvars
-        return Form(nv, 1, {(i,): phi.diff(i) for i in range(1, nv + 1)})
+        return Form(nv, 1, {(i,): phi.diff(i) for i in range(1, nv + 1)}, type(phi))
     if phi.grade >= phi.n:
         raise ValueError("exterior derivative of a top-grade form is zero by degree")
     out: Dict[IndexSet, CPoly] = {}
@@ -352,22 +369,23 @@ def partial_d(phi: GradedOrScalar) -> Form:
 def interior_product(a, phi):
     """Contraction of a multivector into a form.
 
-    Accepts a VectorField, Multivector, or CPoly on the left and a Form or
-    CPoly on the right.  The result grade is phi.grade - a.grade; a scalar
-    (CPoly) is returned at grade 0 and the zero scalar below grade 0.
+    Accepts a VectorField, Multivector, or polynomial on the left and a Form
+    or polynomial on the right.  The result grade is phi.grade - a.grade; a
+    scalar is returned at grade 0 and the zero scalar of the ring below
+    grade 0.
     """
     if isinstance(a, VectorField):
         a = Multivector.from_field(a)
-    if isinstance(a, CPoly):
-        if isinstance(phi, CPoly):
+    if isinstance(a, _BasePoly):
+        if isinstance(phi, _BasePoly):
             return a * phi
         return phi.scale(a)
-    if isinstance(phi, CPoly):
-        return CPoly.zero(a.n)
+    if isinstance(phi, _BasePoly):
+        return a.ring.zero(a.n)
     if a.n != phi.n:
         raise ValueError("dimension mismatch in interior product")
     if a.grade > phi.grade:
-        return CPoly.zero(a.n)
+        return phi.ring.zero(a.n)
     result_grade = phi.grade - a.grade
     out: Dict[IndexSet, CPoly] = {}  # grade 0 lands under the key ()
     for ka, va in a.comps.items():
@@ -397,13 +415,13 @@ def pairing(phi: Form, a) -> CPoly:
     """
     if isinstance(a, VectorField):
         a = Multivector.from_field(a)
-    if isinstance(phi, CPoly) or isinstance(a, CPoly):
-        if isinstance(phi, CPoly) and isinstance(a, CPoly):
+    if isinstance(phi, _BasePoly) or isinstance(a, _BasePoly):
+        if isinstance(phi, _BasePoly) and isinstance(a, _BasePoly):
             return phi * a
         raise ValueError("pairing needs equal grades and dimensions")
     if phi.grade != a.grade or phi.n != a.n:
         raise ValueError("pairing needs equal grades and dimensions")
-    out = CPoly.zero(phi.n)
+    out = phi.ring.zero(phi.n)
     for key, poly in phi.comps.items():
         other = a.comps.get(key)
         if other is not None:
@@ -417,10 +435,14 @@ def pairing(phi: Form, a) -> CPoly:
 
 
 def flat(a, omega: VolumeForm):
-    """Lower a multivector to a form by contracting into the volume form."""
+    """Lower a multivector to a form by contracting into the volume form.
+
+    The volume form is built in the ring of `a`.
+    """
     n = omega.n
-    top = Form(n, n, {tuple(range(1, n + 1)): CPoly.const(n, omega.weight)})
-    if isinstance(a, CPoly):
+    ring = type(a) if isinstance(a, _BasePoly) else a.ring
+    top = Form(n, n, {tuple(range(1, n + 1)): ring.const(n, omega.weight)}, ring)
+    if isinstance(a, _BasePoly):
         return top.scale(a)
     if a.n != n:
         raise ValueError("dimension mismatch with volume form")
@@ -438,12 +460,12 @@ def _basis_flat_sign(indices: IndexSet, n: int) -> Tuple[int, IndexSet]:
 
 
 def sharp(phi, omega: VolumeForm):
-    """Inverse of flat: raise an (n-p)-form to a p-multivector."""
+    """Inverse of flat: raise an (n-p)-form to a p-multivector in the ring of phi."""
     n = omega.n
     inv_weight = GaussianRational(1) / omega.weight
-    if isinstance(phi, CPoly):
+    if isinstance(phi, _BasePoly):
         # 0-form -> top multivector
-        return Multivector(n, n, {tuple(range(1, n + 1)): phi.scale(inv_weight)})
+        return Multivector(n, n, {tuple(range(1, n + 1)): phi.scale(inv_weight)}, type(phi))
     if phi.n != n:
         raise ValueError("dimension mismatch with volume form")
     grade = n - phi.grade
@@ -459,7 +481,7 @@ def sharp(phi, omega: VolumeForm):
             raise AssertionError("complement bookkeeping is inconsistent")
         coeff = inv_weight if sign > 0 else -inv_weight
         out[indices] = poly.scale(coeff)
-    return Multivector(n, grade, out)
+    return Multivector(n, grade, out, phi.ring)
 
 
 def curl(a, omega: VolumeForm):
@@ -468,7 +490,7 @@ def curl(a, omega: VolumeForm):
     Grade-1 input returns the divergence as a scalar; the constant weight
     cancels between flat and sharp.
     """
-    if isinstance(a, CPoly):
+    if isinstance(a, _BasePoly):
         raise ValueError("curl needs grade >= 1")
     lowered = flat(a, omega)
     return sharp(partial_d(lowered), omega)
@@ -479,7 +501,7 @@ def curl(a, omega: VolumeForm):
 # ---------------------------------------------------------------------------
 
 
-def scaled_partial_d(alpha: CPoly, phi: GradedOrScalar) -> Form:
+def scaled_partial_d(alpha: _BasePoly, phi: GradedOrScalar) -> Form:
     """Numerator of the alpha-scaled derivative: the exterior derivative of alpha*phi.
 
     The caller tests the result against zero; dividing back by alpha is never
@@ -487,14 +509,14 @@ def scaled_partial_d(alpha: CPoly, phi: GradedOrScalar) -> Form:
     """
     if alpha.is_zero():
         raise ValueError("scaling function must be nonzero")
-    if isinstance(phi, CPoly):
+    if isinstance(phi, _BasePoly):
         return partial_d(alpha * phi)
     return partial_d(phi.scale(alpha))
 
 
-def twisted_partial_d(f: CPoly, k: int, phi: GradedOrScalar) -> Form:
+def twisted_partial_d(f: _BasePoly, k: int, phi: GradedOrScalar) -> Form:
     """Degree-weighted twisted derivative: f * d(phi) - (p - k) * df ^ phi."""
-    if isinstance(phi, CPoly):
+    if isinstance(phi, _BasePoly):
         d_phi = partial_d(phi).scale(f)
         if k == 0:
             return d_phi
@@ -502,7 +524,7 @@ def twisted_partial_d(f: CPoly, k: int, phi: GradedOrScalar) -> Form:
     p = phi.grade
     if p == phi.n:
         # both d(phi) and df ^ phi overflow the top grade
-        return Form(phi.n, p, {})
+        return Form(phi.n, p, {}, phi.ring)
     out = partial_d(phi).scale(f)
     if p != k:
         correction = wedge(partial_d(f), phi).scale(p - k)

@@ -4,7 +4,8 @@
 one-shot calculators over inline expressions.  Each subcommand's handler is
 bound with `set_defaults(run=...)`; the field, bivector-entry and volume
 syntax is the manifest's (`holomult.manifest`).  Exit codes: 0 success / all
-tasks passed, 1 some verification task failed, 2 malformed input.
+tasks passed, 1 some verification task failed, 2 malformed input, 3 two
+exact routes of a cross-checked computation disagreed (an internal defect).
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ManifestError, ParseError and CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # an exact cross-check found two routes disagreeing
+        print(f"error: internal route disagreement: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

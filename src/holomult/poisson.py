@@ -192,7 +192,7 @@ def _triple_divergence_zero(p: Bivector) -> bool:
     for i in range(1, p.n + 1):
         for j in range(i + 1, p.n + 1):
             for k in range(j + 1, p.n + 1):
-                total = CPoly.zero(p.n)
+                total = p.ring.zero(p.n)
                 for l in range(1, p.n + 1):
                     if l in (i, j, k):
                         continue
@@ -231,13 +231,13 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> BivectorM
     # route 1: componentwise divergence of the scaled bivector
     comps = []
     for i in range(1, p.n + 1):
-        acc = CPoly.zero(p.n)
+        acc = p.field.ring.zero(p.n)
         for j in range(1, p.n + 1):
             entry = p.entry(i, j)
             if entry:
                 acc = acc + (alpha * entry).diff(j)
         comps.append(acc)
-    direct = VectorField(p.n, comps)
+    direct = p.field(p.n, comps)
     # route 2: curl of alpha*P via flat / exterior derivative / sharp
     via_forms = curl(p.scale(alpha), omega).to_field()
     if via_forms != direct:

@@ -12,16 +12,30 @@ and serialization deterministic.
 
 Values are immutable after construction (all operations return new objects),
 so they are safe to share between concurrent workers.
+
+Every polynomial keeps its terms clean: each key is a tuple of `nvars`
+nonnegative ints, and each value is nonzero and of the ring's own type
+(`GaussianRational` with `Fraction` parts for CPoly, `Fraction` for RPoly).
+The public constructor `CPoly(n, terms)` / `RPoly(n, terms)` checks and
+coerces every term to reach that state.  Operations whose result is clean
+by construction (sums, negation, products, scaling, partials, division,
+conjugation, the realification split and `poly_summary`) build it through
+the private `_trusted` constructor, which stores the dict as given; only
+code in this module may call it.
+Mixing the two rings in one operation is a TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Tuple
 
-from .scalars import GaussianRational
+from .scalars import I, ZERO, GaussianRational
 
 Monomial = Tuple[int, ...]
+
+_RZERO = Fraction(0)
 
 
 def _grlex_key(mono: Monomial):
@@ -48,6 +62,14 @@ class _BasePoly:
                     if not clean[mono]:
                         del clean[mono]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Dict[Monomial, object]):
+        """Wrap an already clean terms dict (see the module docstring) as is."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     # subclasses pin the coefficient field
     @staticmethod
@@ -80,6 +102,8 @@ class _BasePoly:
     # -- ring operations ----------------------------------------------------
 
     def _check_compatible(self, other):
+        if type(self) is not type(other):
+            raise TypeError(f"ring mismatch: {type(self).__name__} vs {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
@@ -89,17 +113,21 @@ class _BasePoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, self._zero()) + coeff
-            if acc:
-                out[mono] = acc
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = coeff
             else:
-                out.pop(mono, None)
-        return type(self)(self.nvars, out)
+                acc = acc + coeff
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+        return self._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, _BasePoly):
@@ -114,16 +142,14 @@ class _BasePoly:
             return self.scale(other)
         self._check_compatible(other)
         out: Dict[Monomial, object] = {}
-        zero = self._zero()
+        get = out.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(mono, zero) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        return type(self)(self.nvars, out)
+            for m2, c2 in right:
+                mono = tuple(map(add, m1, m2))
+                acc = get(mono)
+                out[mono] = c1 * c2 if acc is None else acc + c1 * c2
+        return self._trusted(self.nvars, {m: c for m, c in out.items() if c})
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -132,7 +158,7 @@ class _BasePoly:
         value = self._coerce(value)
         if not value:
             return self.zero(self.nvars)
-        return type(self)(self.nvars, {m: c * value for m, c in self.terms.items()})
+        return self._trusted(self.nvars, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -173,15 +199,10 @@ class _BasePoly:
         out: Dict[Monomial, object] = {}
         for mono, coeff in self.terms.items():
             e = mono[i]
-            if e == 0:
-                continue
-            lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-            acc = out.get(lowered, self._zero()) + coeff * e
-            if acc:
-                out[lowered] = acc
-            else:
-                out.pop(lowered, None)
-        return type(self)(self.nvars, out)
+            if e:
+                # lowering exponent i is injective on the terms that keep it positive
+                out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
+        return self._trusted(self.nvars, out)
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -213,14 +234,14 @@ class _BasePoly:
         dm, dc = divisor.leading()
         while queue.terms:
             rm, rc = queue.leading()
-            diff = tuple(a - b for a, b in zip(rm, dm))
+            diff = tuple(map(sub, rm, dm))
             if any(e < 0 for e in diff):
                 return None
             coeff = rc / dc
             q_terms[diff] = coeff
-            piece = type(self)(self.nvars, {diff: coeff})
+            piece = self._trusted(self.nvars, {diff: coeff})
             queue = queue - piece * divisor
-        return type(self)(self.nvars, q_terms)
+        return self._trusted(self.nvars, q_terms)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.nvars}, {self.format()!r})"
@@ -237,11 +258,11 @@ class CPoly(_BasePoly):
 
     @staticmethod
     def _zero():
-        return GaussianRational(0)
+        return ZERO
 
     def conjugate(self) -> "CPoly":
         """Conjugate the coefficients (formally a polynomial in conjugated variables)."""
-        return CPoly(self.nvars, {m: c.conjugate() for m, c in self.terms.items()})
+        return CPoly._trusted(self.nvars, {m: c.conjugate() for m, c in self.terms.items()})
 
     def evaluate(self, point) -> complex:
         """Evaluate at complex floating-point coordinates."""
@@ -278,7 +299,7 @@ class CPoly(_BasePoly):
         """
         n = self.nvars
         out: Dict[Monomial, GaussianRational] = {}
-        zero = GaussianRational(0)
+        zero = ZERO
         for mono, coeff in self.terms.items():
             expanded = {(0,) * (2 * n): coeff}
             for k, e in enumerate(mono):
@@ -292,13 +313,13 @@ class CPoly(_BasePoly):
                         my = list(m2)
                         my[n + k] += 1
                         ty = tuple(my)
-                        nxt[ty] = nxt.get(ty, zero) + c2 * GaussianRational(0, 1)
+                        nxt[ty] = nxt.get(ty, zero) + c2 * I
                     expanded = nxt
             for m2, c2 in expanded.items():
                 out[m2] = out.get(m2, zero) + c2
         re_terms = {m: c.re for m, c in out.items() if c.re}
         im_terms = {m: c.im for m, c in out.items() if c.im}
-        return RPoly(2 * n, re_terms), RPoly(2 * n, im_terms)
+        return RPoly._trusted(2 * n, re_terms), RPoly._trusted(2 * n, im_terms)
 
     def format(self, names=None) -> str:
         return format_poly(self, names or default_z_names(self.nvars))
@@ -321,7 +342,7 @@ class RPoly(_BasePoly):
 
     @staticmethod
     def _zero():
-        return Fraction(0)
+        return _RZERO
 
     def evaluate(self, point) -> float:
         point = [float(p) for p in point]
@@ -402,7 +423,7 @@ def poly_summary(p: _BasePoly, limit: int = 3) -> str:
     if p.is_zero():
         return "0"
     terms = p.sorted_terms()
-    head = type(p)(p.nvars, dict(terms[:limit]))
+    head = p._trusted(p.nvars, dict(terms[:limit]))
     text = head.format()
     extra = len(terms) - limit
     if extra > 0:

@@ -21,18 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .calculus import VectorField, VolumeForm, apply_field, divergence
+from .calculus import RealVectorField, VectorField, VolumeForm, apply_field, divergence
 from .linsolve import invert_matrix
 from .metric import HoloMetric, _raise_index
 from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
 from .poly import CPoly, RPoly
-
-
-class RealVectorField(VectorField):
-    """Vector field on R^{2n} with exact rational-polynomial components."""
-
-    __slots__ = ()
-    ring = RPoly
 
 
 def _attached_fields(splits: Sequence[Tuple[RPoly, RPoly]]) -> Tuple[RealVectorField, RealVectorField]:

@@ -35,39 +35,43 @@ class GaussianRational:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            if type(other) is int:  # exponents in diff; bool is not an int here
+                return _make(self.re * other, self.im * other)
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b or d:
+            return _make(a * c - b * d, a * d + b * c)
+        return _make(a * c, b)  # both real: skip three products of zeros
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _make((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -90,7 +94,7 @@ class GaussianRational:
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -102,10 +106,11 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -114,7 +119,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -128,6 +133,22 @@ class GaussianRational:
         mag = abs(self.im)
         imtxt = "i" if mag == 1 else f"{mag}*i"
         return f"{self.re}{sign}{imtxt}"
+
+
+_new = object.__new__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """A Gaussian rational from two parts that are already Fractions.
+
+    Internal: the arithmetic above only ever combines Fractions into
+    Fractions, so it skips the float check and the Fraction(...) coercion of
+    the public constructor.
+    """
+    out = _new(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
 
 
 ZERO = GaussianRational(0)
