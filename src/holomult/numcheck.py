@@ -4,21 +4,23 @@ Everything here is deterministic.  The PRNG is splitmix64 with the usual
 constants (increment 0x9E3779B97F4A7C15, mix multipliers 0xBF58476D1CE4E5B9
 and 0x94D049BB133111EB, shifts 30/27/31); uniform doubles come from the top
 53 bits, so any implementation of the same generator samples identical
-points.
+points.  Float evaluation goes through `poly.float_evaluator`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .poly import CPoly, RPoly
+from .poly import CPoly, RPoly, float_evaluator
 from .realify import RealVectorField
 
 _MASK = (1 << 64) - 1
+
+MAX_STEPS = 10**6  # RK4 keeps every state, so t_end / step is bounded
 
 
 class SplitMix64:
@@ -55,48 +57,27 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
 
 
-def _compile_rpoly(p: RPoly):
-    if not p.terms:
-        coeffs = np.zeros(1)
-        exps = np.zeros((1, p.nvars), dtype=np.int64)
-    else:
-        items = p.sorted_terms()
-        coeffs = np.array([float(c) for _, c in items])
-        exps = np.array([m for m, _ in items], dtype=np.int64)
-
-    def evaluate(state: np.ndarray) -> float:
-        return float(coeffs @ np.prod(state ** exps, axis=1))
-
-    return evaluate
-
-
-def compile_field(field: RealVectorField):
-    """Turn exact components into a fast float right-hand side."""
-    comps = [_compile_rpoly(c) for c in field.components]
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return np.array([f(state) for f in comps])
-
-    return rhs
-
-
 def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: float) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta.
 
     Stops early (flagging the trajectory truncated) if the state leaves the
     finite floats.
     """
+    if not all(isinstance(c, RPoly) for c in field.components):
+        raise ValueError("integrate needs a real field: every component must be an RPoly")
     for name, value in (("step", step), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0 or t_end <= 0:
         raise ValueError("step and t_end must be positive")
+    if t_end / step > MAX_STEPS:
+        raise ValueError(f"t_end / step = {t_end / step:g} exceeds the step budget of {MAX_STEPS}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.n,):
         raise ValueError(f"initial state must have {field.n} coordinates")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    rhs = compile_field(field)
+    rhs = float_evaluator(field.components)
     nsteps = int(round(t_end / step))
     times = [0.0]
     states = [x0]
@@ -121,9 +102,8 @@ def first_integral_drift(f: RPoly, traj: Trajectory) -> float:
     """Largest deviation of f along the trajectory from its initial value."""
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
-    fn = _compile_rpoly(f)
-    f0 = fn(traj.states[0])
-    return max(abs(fn(s) - f0) for s in traj.states)
+    values = float_evaluator([f])(traj.states)[:, 0]
+    return float(np.max(np.abs(values - values[0])))
 
 
 def residual_sample(p, count: int, seed: int, box: float = 1.0) -> float:
@@ -134,27 +114,17 @@ def residual_sample(p, count: int, seed: int, box: float = 1.0) -> float:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    worst = 0.0
     if isinstance(p, CPoly):
-        rng = SplitMix64(seed)
-        for _ in range(count):
-            point = [
-                complex(rng.next_symmetric(box), rng.next_symmetric(box))
-                for _ in range(p.nvars)
-            ]
-            worst = max(worst, abs(p.evaluate(point)))
-        return worst
-    if isinstance(p, RPoly):
-        fn = _compile_rpoly(p)
-        for point in sample_points(p.nvars, count, seed, box):
-            worst = max(worst, abs(fn(point)))
-        return worst
-    raise TypeError("residual_sample expects a CPoly or RPoly")
+        points = sample_points(2 * p.nvars, count, seed, box).view(complex)
+    elif isinstance(p, RPoly):
+        points = sample_points(p.nvars, count, seed, box)
+    else:
+        raise TypeError("residual_sample expects a CPoly or RPoly")
+    return float(np.max(np.abs(float_evaluator([p])(points))))
 
 
-def sample_points(nvars: int, count: int, seed: int, box: float = 1.0) -> List[np.ndarray]:
-    """The real sample grid used by residual_sample for RPoly inputs."""
+def sample_points(nvars: int, count: int, seed: int, box: float = 1.0) -> np.ndarray:
+    """The (count, nvars) real sample grid, drawn point by point, used by residual_sample."""
     rng = SplitMix64(seed)
-    return [
-        np.array([rng.next_symmetric(box) for _ in range(nvars)]) for _ in range(count)
-    ]
+    draws = [rng.next_symmetric(box) for _ in range(count * nvars)]
+    return np.array(draws, dtype=float).reshape(count, nvars)

@@ -23,6 +23,12 @@ conjugation, the realification split and `poly_summary`) build it through
 the private `_trusted` constructor, which stores the dict as given; only
 code in this module may call it.
 Mixing the two rings in one operation is a TypeError.
+
+Float evaluation lives here too, beside the term format it reads:
+`float_evaluator` compiles polynomials of one ring to an exponent matrix
+and a coefficient matrix once, and `evaluate`, the RK4 right-hand side,
+drift and residual sampling in `numcheck` all run through it.  Exact
+evaluation is `CPoly.evaluate_exact`.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 from typing import Dict, Tuple
+
+import numpy as np
 
 from .scalars import I, ZERO, GaussianRational
 
@@ -218,6 +226,10 @@ class _BasePoly:
         """Terms in decreasing graded-lex order (canonical serialization order)."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
+    def evaluate(self, point):
+        """Evaluate at one floating-point point: a complex for CPoly, a float for RPoly."""
+        return float_evaluator([self])(point).item()
+
     # -- division -----------------------------------------------------------
 
     def divide_exact(self, divisor):
@@ -260,23 +272,11 @@ class CPoly(_BasePoly):
     def _zero():
         return ZERO
 
+    _float = complex  # the type float evaluation returns
+
     def conjugate(self) -> "CPoly":
         """Conjugate the coefficients (formally a polynomial in conjugated variables)."""
         return CPoly._trusted(self.nvars, {m: c.conjugate() for m, c in self.terms.items()})
-
-    def evaluate(self, point) -> complex:
-        """Evaluate at complex floating-point coordinates."""
-        point = [complex(p) for p in point]
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        total = 0j
-        for mono, coeff in self.sorted_terms():
-            term = complex(coeff)
-            for value, e in zip(point, mono):
-                if e:
-                    term *= value ** e
-            total += term
-        return total
 
     def evaluate_exact(self, point) -> GaussianRational:
         """Evaluate at exact Gaussian-rational coordinates."""
@@ -344,21 +344,39 @@ class RPoly(_BasePoly):
     def _zero():
         return _RZERO
 
-    def evaluate(self, point) -> float:
-        point = [float(p) for p in point]
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        total = 0.0
-        for mono, coeff in self.sorted_terms():
-            term = float(coeff)
-            for value, e in zip(point, mono):
-                if e:
-                    term *= value ** e
-            total += term
-        return total
+    _float = float  # the type float evaluation returns
 
     def format(self, names=None) -> str:
         return format_poly(self, names or default_xy_names(self.nvars))
+
+
+def float_evaluator(polys):
+    """Compile polynomials of one ring and variable count to one float function.
+
+    The function maps points[..., nvars] to values[..., len(polys)], complex
+    for CPoly and float for RPoly, as one product of monomial values with a
+    coefficient matrix over the union of the polynomials' monomials.  The
+    monomials are summed in decreasing graded-lex order, so equal polynomials
+    give identical floats.
+    """
+    if not polys:
+        raise ValueError("float_evaluator needs at least one polynomial")
+    first = polys[0]
+    for p in polys[1:]:
+        first._check_compatible(p)
+    nvars, kind = first.nvars, first._float
+    monos = sorted({m for p in polys for m in p.terms}, key=_grlex_key, reverse=True)
+    exps = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    coeffs = np.array([[kind(p.terms.get(m, 0)) for p in polys] for m in monos], dtype=kind)
+    coeffs = coeffs.reshape(len(monos), len(polys))
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=kind)
+        if points.shape[-1:] != (nvars,):
+            raise ValueError(f"point length {points.shape[-1] if points.ndim else 0} != nvars {nvars}")
+        return np.prod(points[..., None, :] ** exps, axis=-1) @ coeffs
+
+    return evaluate
 
 
 def default_z_names(nvars: int):
