@@ -70,15 +70,16 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
             raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0 or t_end <= 0:
         raise ValueError("step and t_end must be positive")
-    if t_end / step > MAX_STEPS:
-        raise ValueError(f"t_end / step = {t_end / step:g} exceeds the step budget of {MAX_STEPS}")
+    ratio = t_end / step
+    if ratio > MAX_STEPS:
+        raise ValueError(f"t_end / step = {ratio:g} exceeds the step budget of {MAX_STEPS}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.n,):
         raise ValueError(f"initial state must have {field.n} coordinates")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
     rhs = float_evaluator(field.components)
-    nsteps = int(round(t_end / step))
+    nsteps = int(round(ratio))
     times = [0.0]
     states = [x0]
     state = x0
