@@ -196,6 +196,8 @@ class VectorField:
         if len(components) != n:
             raise ValueError(f"expected {n} components, got {len(components)}")
         for comp in components:
+            if not isinstance(comp, self.ring):
+                raise TypeError(f"ring mismatch: {type(self).__name__} components must be {self.ring.__name__}")
             if comp.nvars != n:
                 raise ValueError("component variable count differs from dimension")
         self.n = n

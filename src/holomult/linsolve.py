@@ -1,8 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Gauss-Jordan elimination with exact field arithmetic: no pivoting heuristics
-are needed for correctness, so pivots are chosen deterministically (first
-nonzero entry scanning down each column).
+One Gauss-Jordan kernel, `_gauss_jordan`, is the only row reduction in the
+package.  It works over any exact field given that field's unit, so the
+realified metrics invert their `Fraction` blocks with it over Q as well.
+`solve_linear` reduces [A | b], `invert_matrix` reduces [A | I], and
+`determinant` reads the signed product of the pivots.  No pivoting
+heuristics are needed for correctness, so pivots are chosen
+deterministically: the first nonzero entry scanning down each column.
 """
 
 from __future__ import annotations
@@ -41,6 +45,47 @@ def _coerce_matrix(rows):
     return [[GaussianRational.coerce(x) for x in row] for row in rows]
 
 
+def _gauss_jordan(rows, ncols: int, one):
+    """Reduce `rows` in place to reduced row echelon form on their first `ncols` columns.
+
+    Each pivot row is scaled so its pivot is `one`, and the pivot column is
+    cleared above and below; entries past `ncols` (a right-hand side, an identity block) ride along.
+    Returns the pivot columns and the product of the pivots, negated once per
+    row swap: the determinant when the rows are square and every column has
+    a pivot.
+    """
+    nrows = len(rows)
+    pivot_cols: List[int] = []
+    det = one
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        pivot_row = next((rr for rr in range(r, nrows) if rows[rr][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            det = -det
+        pivot = rows[r][c]
+        det = det * pivot
+        inv = one / pivot
+        rows[r] = [x * inv for x in rows[r]]
+        for rr in range(nrows):
+            if rr != r and rows[rr][c]:
+                factor = rows[rr][c]
+                rows[rr] = [x - factor * y for x, y in zip(rows[rr], rows[r])]
+        pivot_cols.append(c)
+    return pivot_cols, det
+
+
+def _square_size(a) -> int:
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    return n
+
+
 def solve_linear(matrix, rhs) -> LinearSolution:
     """Solve A*m = b exactly; report uniqueness, a parametrized family, or inconsistency."""
     a = _coerce_matrix(matrix)
@@ -49,46 +94,22 @@ def solve_linear(matrix, rhs) -> LinearSolution:
     if len(b) != nrows:
         raise ValueError(f"rhs length {len(b)} != row count {nrows}")
     ncols = len(a[0]) if nrows else 0
-    for row in a:
+    for row, x in zip(a, b):
         if len(row) != ncols:
             raise ValueError("matrix rows have unequal lengths")
+        row.append(x)
 
     zero = GaussianRational(0)
     one = GaussianRational(1)
-
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, nrows):
-            if a[rr][c]:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        inv = one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        b[r] = b[r] * inv
-        for rr in range(nrows):
-            if rr != r and a[rr][c]:
-                factor = a[rr][c]
-                a[rr] = [x - factor * y for x, y in zip(a[rr], a[r])]
-                b[rr] = b[rr] - factor * b[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
+    pivot_cols, _ = _gauss_jordan(a, ncols, one)
 
     rank = len(pivot_cols)
-    for rr in range(rank, nrows):
-        if b[rr]:
-            return LinearSolution(status="inconsistent", rank=rank)
+    if any(row[ncols] for row in a[rank:]):
+        return LinearSolution(status="inconsistent", rank=rank)
 
     particular = [zero] * ncols
     for i, c in enumerate(pivot_cols):
-        particular[c] = b[i]
+        particular[c] = a[i][ncols]
 
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     nullspace: List[List[GaussianRational]] = []
@@ -113,47 +134,25 @@ def matrix_mult(a, b):
     ]
 
 
-def invert_matrix(matrix) -> List[List[GaussianRational]]:
-    """Exact inverse of a square Gaussian-rational matrix; raises if singular."""
-    a = _coerce_matrix(matrix)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    zero = GaussianRational(0)
-    one = GaussianRational(1)
-    aug = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if aug[r][c]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        inv = one / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                factor = aug[r][c]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
+def _inverse(a, one):
+    """Exact inverse of a square matrix over the field with unit `one`; raises if singular."""
+    n = _square_size(a)
+    zero = one - one
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    pivot_cols, _ = _gauss_jordan(aug, n, one)
+    if len(pivot_cols) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
 
 
+def invert_matrix(matrix) -> List[List[GaussianRational]]:
+    """Exact inverse of a square Gaussian-rational matrix; raises if singular."""
+    return _inverse(_coerce_matrix(matrix), GaussianRational(1))
+
+
 def determinant(matrix) -> GaussianRational:
-    """Exact determinant via fraction-friendly elimination."""
+    """Exact determinant: the signed pivot product of the shared elimination."""
     a = _coerce_matrix(matrix)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    det = GaussianRational(1)
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot_row is None:
-            return GaussianRational(0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            det = -det
-        det = det * a[c][c]
-        inv = GaussianRational(1) / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                factor = a[r][c] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
-    return det
+    n = _square_size(a)
+    pivot_cols, det = _gauss_jordan(a, n, GaussianRational(1))
+    return det if len(pivot_cols) == n else GaussianRational(0)

@@ -8,9 +8,10 @@ zero polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from .calculus import (
+    Multivector,
     VectorField,
     VolumeForm,
     apply_field,
@@ -19,6 +20,7 @@ from .calculus import (
     interior_product,
     lie_bracket,
     partial_d,
+    wedge,
 )
 from .linsolve import solve_linear
 from .poly import CPoly
@@ -27,10 +29,14 @@ from .scalars import GaussianRational
 
 @dataclass
 class Check:
-    """Verdict plus the exact residual polynomial behind it."""
+    """Verdict plus the exact residual behind it.
+
+    The residual is a polynomial, or a vector field for the bivector
+    multiplier check; the verdict is True exactly when it is zero.
+    """
 
     ok: bool
-    residual: CPoly
+    residual: Union[CPoly, VectorField]
 
     def __bool__(self):
         return self.ok
@@ -176,19 +182,11 @@ def _symmetry_analysis(s: VectorField, field: VectorField):
     if field.is_zero():
         raise ValueError("symmetry check needs a nonzero base field")
     bracket = lie_bracket(field, s)
-    lam = None
-    pivot = None
-    for k, (comp, b_comp) in enumerate(zip(field.components, bracket.components), start=1):
-        if comp.is_zero():
-            continue
-        candidate = b_comp.divide_exact(comp)
-        if candidate is None:
-            return None, [k]
-        lam = candidate
-        pivot = k
-        break
-    if lam is None:  # unreachable for nonzero fields, kept for symmetry
-        return None, list(range(1, field.n + 1))
+    # lambda is fixed by the first nonzero component of the field
+    k = next(k for k, comp in enumerate(field.components, start=1) if comp)
+    lam = bracket.components[k - 1].divide_exact(field.components[k - 1])
+    if lam is None:
+        return None, [k]
     bad = []
     for k, (comp, b_comp) in enumerate(zip(field.components, bracket.components), start=1):
         if lam * comp != b_comp:
@@ -222,25 +220,13 @@ def inverse_from_symmetries(
 
 
 def frame_volume(frame: Sequence[VectorField], omega: VolumeForm) -> CPoly:
-    """omega applied to a frame: weight times the determinant of components."""
-    n = omega.n
-    if len(frame) != n:
+    """omega(Z_1, ..., Z_n): the flat of the wedge Z_1 ^ ... ^ Z_n."""
+    if len(frame) != omega.n:
         raise ValueError("frame size must equal the dimension")
-    rows = [f.components for f in frame]
-    det = _poly_determinant(rows, n)
-    return det.scale(omega.weight)
-
-
-def _poly_determinant(rows, n: int) -> CPoly:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    out = CPoly.zero(n)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        cof = rows[0][j] * _poly_determinant(minor, n)
-        out = out + cof if j % 2 == 0 else out - cof
-    return out
+    top = Multivector.from_field(frame[0])
+    for z in frame[1:]:
+        top = wedge(top, Multivector.from_field(z))
+    return flat(top, omega)
 
 
 def inverse_from_frame(

@@ -63,7 +63,7 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
     Stops early (flagging the trajectory truncated) if the state leaves the
     finite floats.
     """
-    if not all(isinstance(c, RPoly) for c in field.components):
+    if field.ring is not RPoly:
         raise ValueError("integrate needs a real field: every component must be an RPoly")
     for name, value in (("step", step), ("t_end", t_end)):
         if not math.isfinite(value):
@@ -80,23 +80,21 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
         raise ValueError("initial state must be finite")
     rhs = float_evaluator(field.components)
     nsteps = int(round(ratio))
-    times = [0.0]
-    states = [x0]
-    state = x0
-    truncated = False
+    states = np.empty((nsteps + 1, field.n))
+    states[0] = state = x0
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected, not raised
-        for k in range(1, nsteps + 1):
+        while k < nsteps:
             k1 = rhs(state)
             k2 = rhs(state + 0.5 * step * k1)
             k3 = rhs(state + 0.5 * step * k2)
             k4 = rhs(state + step * k3)
             state = state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(state)):
-                truncated = True
                 break
-            times.append(k * step)
-            states.append(state)
-    return Trajectory(np.array(times), np.vstack(states), truncated)
+            k += 1
+            states[k] = state
+    return Trajectory(np.arange(k + 1) * step, states[: k + 1], k < nsteps)
 
 
 def first_integral_drift(f: RPoly, traj: Trajectory) -> float:

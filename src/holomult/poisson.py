@@ -27,6 +27,7 @@ from .calculus import (
     wedge,
 )
 from .metric import HoloMetric, gradient
+from .multipliers import Check
 from .poly import CPoly
 
 
@@ -207,16 +208,7 @@ def _triple_divergence_zero(p: Bivector) -> bool:
     return True
 
 
-@dataclass
-class BivectorMultiplierResult:
-    ok: bool
-    residual: VectorField
-
-    def __bool__(self):
-        return self.ok
-
-
-def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> BivectorMultiplierResult:
+def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
     """Is alpha a last multiplier for the bivector itself?
 
     Three routes are computed and must agree exactly: componentwise
@@ -248,7 +240,7 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> BivectorM
     via_modular = z_mod.scale(alpha) - z_alpha
     if via_modular != direct:
         raise AssertionError("weighted-modular route disagrees")
-    return BivectorMultiplierResult(direct.is_zero(), direct)
+    return Check(direct.is_zero(), direct)
 
 
 @dataclass

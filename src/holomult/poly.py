@@ -390,19 +390,19 @@ def default_xy_names(nvars: int):
     return [f"x{k}" for k in range(1, n + 1)] + [f"y{k}" for k in range(1, n + 1)]
 
 
-def _format_coeff(coeff) -> tuple[str, bool]:
-    """Render a coefficient; second element says whether it needs '*' glue."""
+def _format_coeff(coeff) -> str:
+    """Render a coefficient in the form the parser reads back."""
     if isinstance(coeff, GaussianRational):
         if coeff.im == 0:
-            return str(coeff.re), True
+            return str(coeff.re)
         if coeff.re == 0:
             if coeff.im == 1:
-                return "i", True
+                return "i"
             if coeff.im == -1:
-                return "-i", True
-            return f"{coeff.im}*i", True
-        return f"({coeff})", True
-    return str(coeff), True
+                return "-i"
+            return f"{coeff.im}*i"
+        return f"({coeff})"
+    return str(coeff)
 
 
 def format_poly(p: _BasePoly, names) -> str:
@@ -417,7 +417,7 @@ def format_poly(p: _BasePoly, names) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"({name})^{e}")
-        ctxt, _ = _format_coeff(coeff)
+        ctxt = _format_coeff(coeff)
         if not factors:
             body = ctxt
         elif ctxt == "1":

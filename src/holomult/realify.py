@@ -19,10 +19,10 @@ are aliases or one-line calls of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .calculus import RealVectorField, VectorField, VolumeForm, apply_field, divergence
-from .linsolve import invert_matrix
+from .linsolve import _inverse
 from .metric import HoloMetric, _raise_index
 from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
 from .poly import CPoly, RPoly
@@ -83,23 +83,14 @@ def conj_scaled_imag_field(f: CPoly, w: VectorField) -> RealVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    wrapped = invert_matrix(rows)
-    out = []
-    for row in wrapped:
-        if any(x.im != 0 for x in row):
-            raise AssertionError("rational matrix inverse left the rationals")
-        out.append([x.re for x in row])
-    return out
-
-
 class RealMetric:
     """Anti-Kaehler twin pair (h, k) induced by a holomorphic metric.
 
     h carries the doubled real part in its x-block; k is the twin metric
     h(J., .) for the complex structure J that rotates x-axes into y-axes.
-    Both exact inverses are stored; twice each inverse reproduces the
-    block pattern built from the inverse of the holomorphic metric.
+    Both exact inverses are stored, computed over Q by the shared
+    elimination in `linsolve`; twice each inverse reproduces the block
+    pattern built from the inverse of the holomorphic metric.
     """
 
     __slots__ = ("n", "h", "k", "hinv", "kinv")
@@ -108,8 +99,8 @@ class RealMetric:
         self.n = n
         self.h = h
         self.k = k
-        self.hinv = _fraction_matrix_inverse(h)
-        self.kinv = _fraction_matrix_inverse(k)
+        self.hinv = _inverse(h, Fraction(1))
+        self.kinv = _inverse(k, Fraction(1))
 
     def inverse_blocks(self, which: str):
         if which == "h":
