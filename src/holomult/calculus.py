@@ -1,16 +1,18 @@
 """Exterior and Lie calculus for polynomial holomorphic data on C^n.
 
-Vector fields carry one component per coordinate from their class's `ring`
-(CPoly for `VectorField`, RPoly for `RealVectorField`); `apply_field`,
-`divergence` and `lie_bracket` work over either.  Multivectors and forms are
-one skew container, `_Graded`: components from its `ring` (CPoly by
-default) indexed by strictly increasing 1-based index tuples, zero
-components dropped.  A bivector (`poisson.Bivector`) is a grade-2
-multivector and a Jacobiator a grade-3 one.  Grade-0 objects are plain
-polynomial scalars: operations that land in grade 0 return the scalar
-directly.  Every operation builds its result in the ring of its operands,
-so wedge, interior product, pairing, flat, sharp and curl run on the real
-side as they do on the complex one.
+Multivectors, vector fields and forms are one skew container, `_Graded`:
+components from its `ring` (CPoly by default) indexed by strictly
+increasing 1-based index tuples, zero components dropped.  Its constructor
+is the one ring check: every component must belong to `ring`, or a
+`TypeError` names the class and the ring.  A vector field is the grade-1
+multivector whose class fixes its ring (CPoly for `VectorField`, RPoly for
+`RealVectorField`) and which also reads as a list of `components` in
+coordinate order; a bivector (`poisson.Bivector`) is a grade-2 multivector
+and a Jacobiator a grade-3 one.  Grade-0 objects are plain polynomial
+scalars: operations that land in grade 0 return the scalar directly.
+Every operation builds its result in the ring of its operands, so apply,
+divergence, Lie bracket, wedge, interior product, pairing, flat, sharp and
+curl run on the real side as they do on the complex one.
 
 The interior-product sign convention is fixed once: for a decomposable
 multivector with increasing factors, contraction starts with the lowest
@@ -22,7 +24,7 @@ All derived signs (flat, sharp, curl) inherit this single choice.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .poly import CPoly, RPoly, _BasePoly
 from .scalars import GaussianRational
@@ -33,9 +35,9 @@ IndexSet = Tuple[int, ...]
 def _check_index_set(indices: IndexSet, grade: int, n: int):
     if len(indices) != grade:
         raise ValueError(f"index set {indices} does not have grade {grade}")
-    if any(not 1 <= i <= n for i in indices):
+    if min(indices) < 1 or max(indices) > n:
         raise ValueError(f"index set {indices} out of range 1..{n}")
-    if any(a >= b for a, b in zip(indices, indices[1:])):
+    if grade > 1 and any(a >= b for a, b in zip(indices, indices[1:])):
         raise ValueError(f"index set {indices} is not strictly increasing")
 
 
@@ -87,29 +89,42 @@ class _Graded:
     """Shared container for multivectors and forms of grade >= 1 over `ring`.
 
     A grade above n is allowed and can only hold zero: every index set is
-    rejected.
+    rejected.  A subclass may fix its ring with a class attribute `ring`,
+    which then overrides the `ring` argument.
     """
 
-    __slots__ = ("n", "grade", "comps", "ring")
+    __slots__ = ("n", "grade", "comps", "_ring")
 
     def __init__(self, n: int, grade: int, comps: Dict[IndexSet, CPoly] | None = None, ring=CPoly):
         if grade < 1:
             raise ValueError(f"grade {grade} must be at least 1")
         self.n = n
         self.grade = grade
-        self.ring = ring
+        self._ring = ring
+        ring = self.ring
         self.comps: Dict[IndexSet, CPoly] = {}
         for indices, poly in (comps or {}).items():
             indices = tuple(indices)
             _check_index_set(indices, grade, n)
+            if not isinstance(poly, ring):
+                raise TypeError(f"ring mismatch: {type(self).__name__} components must be {ring.__name__}")
             if poly.nvars != n:
                 raise ValueError("component variable count differs from dimension")
             _accumulate(self.comps, indices, poly)
 
+    @property
+    def ring(self):
+        """The polynomial class of the components."""
+        return self._ring
+
     def _like(self, comps: Dict[IndexSet, CPoly]):
-        """An object of this class, dimension, grade and ring with other components."""
+        """An object of this class, dimension, grade and ring with other components.
+
+        The components come from checked operands, so only zeros are dropped.
+        """
         out = object.__new__(type(self))
-        _Graded.__init__(out, self.n, self.grade, comps, self.ring)
+        out.n, out.grade, out._ring = self.n, self.grade, self._ring
+        out.comps = {k: v for k, v in comps.items() if v}
         return out
 
     def _space(self):
@@ -166,11 +181,6 @@ class Multivector(_Graded):
 
     __slots__ = ()
 
-    @classmethod
-    def from_field(cls, field: "VectorField") -> "Multivector":
-        comps = {(i,): field.components[i - 1] for i in range(1, field.n + 1)}
-        return cls(field.n, 1, comps, field.ring)
-
     def to_field(self) -> "VectorField":
         """The vector field of a grade-1 multivector, of the field class of its ring."""
         if self.grade != 1:
@@ -185,23 +195,23 @@ class Form(_Graded):
     __slots__ = ()
 
 
-class VectorField:
-    """Holomorphic vector field: one `ring` component per coordinate."""
+class VectorField(Multivector):
+    """Holomorphic vector field: the grade-1 multivector over the class's `ring`."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ()
     ring = CPoly
 
     def __init__(self, n: int, components: Iterable[CPoly]):
         components = list(components)
         if len(components) != n:
             raise ValueError(f"expected {n} components, got {len(components)}")
-        for comp in components:
-            if not isinstance(comp, self.ring):
-                raise TypeError(f"ring mismatch: {type(self).__name__} components must be {self.ring.__name__}")
-            if comp.nvars != n:
-                raise ValueError("component variable count differs from dimension")
-        self.n = n
-        self.components = components
+        super().__init__(n, 1, {(i,): comp for i, comp in enumerate(components, start=1)}, self.ring)
+
+    @property
+    def components(self) -> List[CPoly]:
+        """One component per coordinate, in coordinate order, zeros included."""
+        zero = self.ring.zero(self.n)
+        return [self.comps.get((i,), zero) for i in range(1, self.n + 1)]
 
     @classmethod
     def zero(cls, n: int) -> "VectorField":
@@ -212,38 +222,6 @@ class VectorField:
         comps = [cls.ring.zero(n) for _ in range(n)]
         comps[index - 1] = cls.ring.const(n, 1)
         return cls(n, comps)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.components)))
-
-    def __add__(self, other):
-        self._check(other)
-        return type(self)(self.n, [a + b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return type(self)(self.n, [-c for c in self.components])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, poly_or_scalar) -> "VectorField":
-        if isinstance(poly_or_scalar, self.ring):
-            factor = poly_or_scalar
-        else:
-            factor = self.ring.const(self.n, poly_or_scalar)
-        return type(self)(self.n, [c * factor for c in self.components])
-
-    def _check(self, other):
-        if type(other) is not type(self) or other.n != self.n:
-            raise ValueError("vector fields differ in class or dimension")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n}, [{', '.join(c.format() for c in self.components)}])"
@@ -293,13 +271,15 @@ def apply_field(field: VectorField, f: CPoly) -> CPoly:
 
 
 def lie_bracket(z: VectorField, w: VectorField) -> VectorField:
-    z._check(w)
+    if type(w) is not type(z) or w.n != z.n:
+        raise ValueError("vector fields differ in class or dimension")
+    zc, wc = z.components, w.components
     comps = []
     for k in range(1, z.n + 1):
         acc = z.ring.zero(z.n)
         for i in range(1, z.n + 1):
-            acc = acc + z.components[i - 1] * w.components[k - 1].diff(i)
-            acc = acc - w.components[i - 1] * z.components[k - 1].diff(i)
+            acc = acc + zc[i - 1] * wc[k - 1].diff(i)
+            acc = acc - wc[i - 1] * zc[k - 1].diff(i)
         comps.append(acc)
     return type(z)(z.n, comps)
 
@@ -371,13 +351,11 @@ def partial_d(phi: GradedOrScalar) -> Form:
 def interior_product(a, phi):
     """Contraction of a multivector into a form.
 
-    Accepts a VectorField, Multivector, or polynomial on the left and a Form
-    or polynomial on the right.  The result grade is phi.grade - a.grade; a
-    scalar is returned at grade 0 and the zero scalar of the ring below
-    grade 0.
+    Accepts a multivector (a vector field included) or polynomial on the left
+    and a Form or polynomial on the right.  The result grade is
+    phi.grade - a.grade; a scalar is returned at grade 0 and the zero scalar
+    of the ring below grade 0.
     """
-    if isinstance(a, VectorField):
-        a = Multivector.from_field(a)
     if isinstance(a, _BasePoly):
         if isinstance(phi, _BasePoly):
             return a * phi
@@ -415,8 +393,6 @@ def pairing(phi: Form, a) -> CPoly:
 
     Matching increasing basis sets pair to +1 (determinant convention).
     """
-    if isinstance(a, VectorField):
-        a = Multivector.from_field(a)
     if isinstance(phi, _BasePoly) or isinstance(a, _BasePoly):
         if isinstance(phi, _BasePoly) and isinstance(a, _BasePoly):
             return phi * a

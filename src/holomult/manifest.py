@@ -227,10 +227,11 @@ POLY, FIELD, BIVECTOR, METRIC = "polynomial", "field", "bivector", "metric"
 class TaskKind(NamedTuple):
     """Argument object kinds of a task and the function that checks it.
 
-    `run(omega, *objects)` returns a residual (a CPoly, VectorField or
-    Multivector; the task passes exactly when it is zero) or, for a task that
-    is not a residual check, its own (verdict, residual, derived).  When
-    `variadic`, the last argument kind repeats one or more times.
+    `run(omega, *objects)` returns a residual (a CPoly or a Multivector, a
+    vector field included; the task passes exactly when it is zero) or, for
+    a task that is not a residual check, its own (verdict, residual,
+    derived).  When `variadic`, the last argument kind repeats one or more
+    times.
     """
 
     args: Tuple[str, ...]
@@ -336,11 +337,10 @@ def _bind(task: Task, objects: Dict[str, dict]) -> Tuple[TaskKind, list]:
 
 
 def _judge(residual) -> Tuple[str, str, Dict[str, object]]:
-    """Verdict and summary of a residual: pass when it is zero, else its first nonzero part."""
-    if isinstance(residual, VectorField):
-        parts = residual.components
-    elif isinstance(residual, Multivector):
-        parts = list(residual.comps.values())
+    """Verdict and summary of a residual: pass when it is zero, else its first nonzero
+    part (a multivector's components are taken in sorted index order)."""
+    if isinstance(residual, Multivector):
+        parts = [poly for _, poly in sorted(residual.comps.items())]
     else:
         parts = [residual]
     worst = next((c for c in parts if c), None)

@@ -62,11 +62,12 @@ class HoloMetric:
         """g(V, W) as a polynomial."""
         if v.n != self.n or w.n != self.n:
             raise ValueError("dimension mismatch with metric")
+        vc, wc = v.components, w.components
         out = CPoly.zero(self.n)
         for i in range(self.n):
             for j in range(self.n):
                 if self.g[i][j]:
-                    out = out + (v.components[i] * w.components[j]).scale(self.g[i][j])
+                    out = out + (vc[i] * wc[j]).scale(self.g[i][j])
         return out
 
     def __repr__(self):

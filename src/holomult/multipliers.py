@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 from .calculus import (
-    Multivector,
     VectorField,
     VolumeForm,
     apply_field,
@@ -183,12 +182,13 @@ def _symmetry_analysis(s: VectorField, field: VectorField):
         raise ValueError("symmetry check needs a nonzero base field")
     bracket = lie_bracket(field, s)
     # lambda is fixed by the first nonzero component of the field
-    k = next(k for k, comp in enumerate(field.components, start=1) if comp)
-    lam = bracket.components[k - 1].divide_exact(field.components[k - 1])
+    comps, b_comps = field.components, bracket.components
+    k = next(k for k, comp in enumerate(comps, start=1) if comp)
+    lam = b_comps[k - 1].divide_exact(comps[k - 1])
     if lam is None:
         return None, [k]
     bad = []
-    for k, (comp, b_comp) in enumerate(zip(field.components, bracket.components), start=1):
+    for k, (comp, b_comp) in enumerate(zip(comps, b_comps), start=1):
         if lam * comp != b_comp:
             bad.append(k)
     if bad:
@@ -223,9 +223,9 @@ def frame_volume(frame: Sequence[VectorField], omega: VolumeForm) -> CPoly:
     """omega(Z_1, ..., Z_n): the flat of the wedge Z_1 ^ ... ^ Z_n."""
     if len(frame) != omega.n:
         raise ValueError("frame size must equal the dimension")
-    top = Multivector.from_field(frame[0])
+    top = frame[0]
     for z in frame[1:]:
-        top = wedge(top, Multivector.from_field(z))
+        top = wedge(top, z)
     return flat(top, omega)
 
 

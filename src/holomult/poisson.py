@@ -18,7 +18,6 @@ from .calculus import (
     Multivector,
     VectorField,
     VolumeForm,
-    _accumulate,
     apply_field,
     curl,
     divergence,
@@ -39,19 +38,6 @@ class Bivector(Multivector):
         if n < 2:
             raise ValueError("bivectors need dimension >= 2")
         super().__init__(n, 2, comps, self.field.ring)
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Dict[Tuple[int, int], CPoly]) -> "Bivector":
-        """Accept components in any index order, normalizing signs."""
-        upper: Dict[Tuple[int, int], CPoly] = {}
-        for (i, j), poly in entries.items():
-            if i == j:
-                if poly:
-                    raise ValueError("diagonal bivector entries must vanish")
-                continue
-            key, value = ((i, j), poly) if i < j else ((j, i), -poly)
-            _accumulate(upper, key, value)
-        return cls(n, upper)
 
     def entry(self, i: int, j: int) -> CPoly:
         """Signed component P^{ij} for any index pair."""
@@ -115,14 +101,11 @@ def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:
     """
     if p.n != omega.n:
         raise ValueError("dimension mismatch with volume form")
-    comps = []
-    for i in range(1, p.n + 1):
-        acc = p.field.ring.zero(p.n)
-        for j in range(1, p.n + 1):
-            entry = p.entry(i, j)
-            if entry:
-                acc = acc + entry.diff(j)
-        comps.append(acc)
+    comps = [p.ring.zero(p.n)] * p.n
+    for (i, j), entry in p.comps.items():
+        # P^{ij} feeds component i; P^{ji} = -P^{ij} feeds component j
+        comps[i - 1] = comps[i - 1] + entry.diff(j)
+        comps[j - 1] = comps[j - 1] - entry.diff(i)
     return p.field(p.n, comps)
 
 
@@ -221,14 +204,11 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
     if alpha.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
     # route 1: componentwise divergence of the scaled bivector
-    comps = []
-    for i in range(1, p.n + 1):
-        acc = p.field.ring.zero(p.n)
-        for j in range(1, p.n + 1):
-            entry = p.entry(i, j)
-            if entry:
-                acc = acc + (alpha * entry).diff(j)
-        comps.append(acc)
+    comps = [p.ring.zero(p.n)] * p.n
+    for (i, j), entry in p.comps.items():
+        scaled = alpha * entry
+        comps[i - 1] = comps[i - 1] + scaled.diff(j)
+        comps[j - 1] = comps[j - 1] - scaled.diff(i)
     direct = p.field(p.n, comps)
     # route 2: curl of alpha*P via flat / exterior derivative / sharp
     via_forms = curl(p.scale(alpha), omega).to_field()

@@ -212,9 +212,6 @@ class _BasePoly:
                 out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
         return self._trusted(self.nvars, out)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def leading(self):
         """(monomial, coefficient) that is largest in graded-lex order."""
         if not self.terms:

@@ -28,17 +28,20 @@ from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, sel
 from .poly import CPoly, RPoly
 
 
-def _attached_fields(splits: Sequence[Tuple[RPoly, RPoly]]) -> Tuple[RealVectorField, RealVectorField]:
-    """The fields (X, Y) and (Y, -X) from per-component (re, im) = (X^k, Y^k)."""
-    xs = [re for re, _ in splits]
-    ys = [im for _, im in splits]
-    size = 2 * len(splits)
-    return RealVectorField(size, xs + ys), RealVectorField(size, ys + [-x for x in xs])
+def _real_attached(splits: Sequence[Tuple[RPoly, RPoly]]) -> RealVectorField:
+    """The field (X, Y) from per-component (re, im) = (X^k, Y^k)."""
+    return RealVectorField(2 * len(splits), [re for re, _ in splits] + [im for _, im in splits])
+
+
+def _imag_attached(splits: Sequence[Tuple[RPoly, RPoly]]) -> RealVectorField:
+    """The field (Y, -X) from per-component (re, im) = (X^k, Y^k)."""
+    return RealVectorField(2 * len(splits), [im for _, im in splits] + [-re for re, _ in splits])
 
 
 def realify_field(field: VectorField) -> Tuple[RealVectorField, RealVectorField]:
     """Split a holomorphic field into its two attached real fields."""
-    return _attached_fields([comp.realify_split() for comp in field.components])
+    splits = [comp.realify_split() for comp in field.components]
+    return _real_attached(splits), _imag_attached(splits)
 
 
 def modsq(alpha: CPoly) -> RPoly:
@@ -70,12 +73,12 @@ def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
 
 def conj_scaled_real_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Re(conj(f) * W), componentwise."""
-    return _attached_fields([conj_product_split(f, comp) for comp in w.components])[0]
+    return _real_attached([conj_product_split(f, comp) for comp in w.components])
 
 
 def conj_scaled_imag_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Im(conj(f) * W), componentwise."""
-    return _attached_fields([conj_product_split(f, comp) for comp in w.components])[1]
+    return _imag_attached([conj_product_split(f, comp) for comp in w.components])
 
 
 # ---------------------------------------------------------------------------

@@ -96,12 +96,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _make(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 

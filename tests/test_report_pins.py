@@ -1,10 +1,10 @@
 """Byte pins of failing manifest reports and of the one-shot subcommands.
 
 The shipped manifests all pass, so they never show which residual a failing
-task reports.  Each case below runs in process through `main(argv)` and its
-stdout and exit code are compared with `tests/data/pins/<case>.txt`.  The
-stored outputs were generated once and checked by hand; to regenerate them
-after an intended change of output, run
+task reports.  Each case below runs in process through `main(argv)`; its
+stdout is compared with `tests/data/pins/<case>.<format>.txt` and its exit
+code with the table.  The stored outputs were generated once and checked by
+hand; to regenerate them after an intended change of output, run
 
     PYTHONPATH=src python tests/test_report_pins.py --write
 """
@@ -16,7 +16,10 @@ import sys
 
 import pytest
 
+from holomult.calculus import Multivector, VectorField
 from holomult.cli import main
+from holomult.manifest import _judge
+from holomult.poly import CPoly
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 PINS = os.path.join(DATA, "pins")
@@ -71,6 +74,19 @@ def test_output_is_byte_identical(name, fmt):
     code, output = _run(name, fmt)
     assert output == expected
     assert code == CASES[name][1]
+
+
+def test_failing_residual_is_named_by_its_lowest_index():
+    z1, z2 = CPoly.var(3, 1), CPoly.var(3, 2)
+    zero = CPoly.zero(3)
+    # built so that the component at index 3 is stored before the one at 2
+    field = VectorField(3, [zero, zero, z1]) + VectorField(3, [zero, z2, zero])
+    assert list(field.comps) == [(3,), (2,)]
+    assert _judge(field) == ("fail", "z2", {})
+    w1, w2 = CPoly.var(4, 1), CPoly.var(4, 2)
+    trivector = Multivector(4, 3, {(2, 3, 4): w1, (1, 2, 4): w2})
+    assert _judge(trivector) == ("fail", "z2", {})
+    assert _judge(VectorField.zero(3)) == ("pass", "0", {})
 
 
 if __name__ == "__main__":
