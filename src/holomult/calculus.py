@@ -134,7 +134,8 @@ class _Graded:
         """The component at an index set, given as one tuple or as separate indices."""
         if len(indices) == 1 and not isinstance(indices[0], int):
             indices = indices[0]
-        return self.comps.get(tuple(indices), self.ring.zero(self.n))
+        comp = self.comps.get(tuple(indices))
+        return comp if comp is not None else self.ring.zero(self.n)
 
     def is_zero(self) -> bool:
         return not self.comps

@@ -22,7 +22,7 @@ from .calculus import (
     wedge,
 )
 from .linsolve import solve_linear
-from .poly import CPoly
+from .poly import CPoly, _BasePoly
 from .scalars import GaussianRational
 
 
@@ -54,7 +54,7 @@ def is_last_multiplier(alpha: CPoly, field: VectorField, omega: VolumeForm) -> C
     """
     residual = apply_field(field, alpha) + alpha * divergence(field, omega)
     theta = flat(field, omega)
-    if isinstance(theta, CPoly):  # n == 1: theta is already a scalar
+    if isinstance(theta, _BasePoly):  # n == 1: theta is already a scalar
         d_alpha_theta = partial_d(alpha * theta)
     else:
         d_alpha_theta = partial_d(theta.scale(alpha))

@@ -4,9 +4,15 @@ A bivector is a grade-2 `Multivector`: it stores only its strictly
 upper-triangular components, and the lower triangle is implied by
 antisymmetry.  The class attribute `field` is the class of its Hamiltonian
 and modular fields and `field.ring` the ring of its components, so the
-realified subclass runs the same code.  The Jacobiator is a grade-3
-multivector over the same ring.  Nothing here assumes the bivector is
-Poisson -- the Jacobi test is itself an operation.
+realified subclass runs the same code.  The Jacobiator is half the
+Schouten bracket, a grade-3 multivector over the same ring built with
+`wedge`:
+
+    1/2 [P, P] = sum_l X_{z^l} ^ dP/dz^l
+
+where X_{z^l} is the Hamiltonian field of the coordinate z^l and dP/dz^l the
+bivector of the partials of the components.  Nothing here assumes the
+bivector is Poisson -- the Jacobi test is itself an operation.
 """
 
 from __future__ import annotations
@@ -53,28 +59,29 @@ Trivector = Multivector
 def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
     if f.nvars != p.n or g.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
+    df = [f.diff(i) for i in range(1, p.n + 1)]
+    dg = [g.diff(i) for i in range(1, p.n + 1)]
     out = p.field.ring.zero(p.n)
     for (i, j), comp in p.comps.items():
-        out = out + comp * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
+        out = out + comp * (df[i - 1] * dg[j - 1] - df[j - 1] * dg[i - 1])
     return out
 
 
 def jacobiator(p: Bivector) -> Multivector:
-    """Cyclic bracket sum over coordinate triples; zero exactly for Poisson."""
-    comps: Dict[Tuple[int, int, int], CPoly] = {}
-    ring = p.field.ring
-    coords = [ring.var(p.n, i) for i in range(1, p.n + 1)]
-    for i in range(1, p.n + 1):
-        for j in range(i + 1, p.n + 1):
-            for k in range(j + 1, p.n + 1):
-                zi, zj, zk = coords[i - 1], coords[j - 1], coords[k - 1]
-                total = (
-                    poisson_bracket(p.entry(i, j), zk, p)
-                    + poisson_bracket(p.entry(j, k), zi, p)
-                    + poisson_bracket(p.entry(k, i), zj, p)
-                )
-                comps[(i, j, k)] = total
-    return Multivector(p.n, 3, comps, ring)
+    """Half the Schouten bracket, sum_l X_{z^l} ^ dP/dz^l; zero exactly for Poisson.
+
+    Component (i, j, k) is the cyclic sum {P^{ij}, z^k} + {P^{jk}, z^i} +
+    {P^{ki}, z^j}.  Below dimension 3 the result is the empty grade-3
+    multivector.
+    """
+    n, ring = p.n, p.ring
+    out = Multivector(n, 3, {}, ring)
+    if n < 3:
+        return out
+    for l in range(1, n + 1):
+        d_l = Multivector(n, 2, {key: entry.diff(l) for key, entry in p.comps.items()}, ring)
+        out = out + wedge(hamiltonian_field(ring.var(n, l), p), d_l)
+    return out
 
 
 def is_poisson(p: Bivector) -> bool:

@@ -28,7 +28,7 @@ Float evaluation lives here too, beside the term format it reads:
 `float_evaluator` compiles polynomials of one ring to an exponent matrix
 and a coefficient matrix once, and `evaluate`, the RK4 right-hand side,
 drift and residual sampling in `numcheck` all run through it.  Exact
-evaluation is `CPoly.evaluate_exact`.
+evaluation is `evaluate_exact`, in either ring.
 """
 
 from __future__ import annotations
@@ -227,6 +227,20 @@ class _BasePoly:
         """Evaluate at one floating-point point: a complex for CPoly, a float for RPoly."""
         return float_evaluator([self])(point).item()
 
+    def evaluate_exact(self, point):
+        """Evaluate at exact coordinates of the ring's field: Q(i) for CPoly, Q for RPoly."""
+        point = [self._coerce(p) for p in point]
+        if len(point) != self.nvars:
+            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
+        total = self._zero()
+        for mono, coeff in self.terms.items():
+            term = coeff
+            for value, e in zip(point, mono):
+                if e:
+                    term = term * value ** e
+            total = total + term
+        return total
+
     # -- division -----------------------------------------------------------
 
     def divide_exact(self, divisor):
@@ -274,20 +288,6 @@ class CPoly(_BasePoly):
     def conjugate(self) -> "CPoly":
         """Conjugate the coefficients (formally a polynomial in conjugated variables)."""
         return CPoly._trusted(self.nvars, {m: c.conjugate() for m, c in self.terms.items()})
-
-    def evaluate_exact(self, point) -> GaussianRational:
-        """Evaluate at exact Gaussian-rational coordinates."""
-        point = [GaussianRational.coerce(p) for p in point]
-        if len(point) != self.nvars:
-            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        total = GaussianRational(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(point, mono):
-                if e:
-                    term = term * value ** e
-            total = total + term
-        return total
 
     def realify_split(self) -> tuple["RPoly", "RPoly"]:
         """Substitute z^k = x^k + i*y^k exactly; return (real part, imaginary part).

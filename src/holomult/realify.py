@@ -179,32 +179,17 @@ def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
     the test suite confirms it on the shipped examples.
     """
     n = p.n
-    size = 2 * n
     quarter = Fraction(1, 4)
-    splits: Dict[Tuple[int, int], Tuple[RPoly, RPoly]] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < j:
-                splits[(i, j)] = p.entry(i, j).realify_split()
-    # each key below is written once; RealBivector drops the zero components
+    # 4 dz_i ^ dz_j = (dx_i ^ dx_j - dy_i ^ dy_j) - i (dx_i ^ dy_j - dx_j ^ dy_i)
     re_comps: Dict[Tuple[int, int], RPoly] = {}
     im_comps: Dict[Tuple[int, int], RPoly] = {}
-    for (i, j), (re, im) in splits.items():
-        # x_i ^ x_j and y_i ^ y_j blocks
-        re_comps[(i, j)] = re.scale(quarter)
-        re_comps[(n + i, n + j)] = re.scale(-quarter)
-        im_comps[(i, j)] = im.scale(quarter)
-        im_comps[(n + i, n + j)] = im.scale(-quarter)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            re, im = splits[(i, j)] if i < j else splits[(j, i)]
-            sign = 1 if i < j else -1
-            # x_i ^ y_j block: Im for the real structure, -Re for the other
-            re_comps[(i, n + j)] = im.scale(sign * quarter)
-            im_comps[(i, n + j)] = re.scale(-sign * quarter)
-    return RealBivector(size, re_comps), RealBivector(size, im_comps)
+    for (i, j), entry in p.comps.items():
+        re, im = (part.scale(quarter) for part in entry.realify_split())
+        re_comps[(i, j)], re_comps[(n + i, n + j)] = re, -re
+        re_comps[(i, n + j)], re_comps[(j, n + i)] = im, -im
+        im_comps[(i, j)], im_comps[(n + i, n + j)] = im, -im
+        im_comps[(i, n + j)], im_comps[(j, n + i)] = -re, re
+    return RealBivector(2 * n, re_comps), RealBivector(2 * n, im_comps)
 
 
 # poisson.hamiltonian_field on a RealBivector: component b is sum_a Q^{ab} du/dx^a
