@@ -9,7 +9,9 @@ Grammar (whitespace insignificant, no implicit multiplication):
     rational:=  integer ('/' positive-integer)?
 
 A leading minus is accepted so canonically formatted polynomials round-trip.
-Parentheses nest at most `MAX_DEPTH` deep, so the recursion stays bounded.
+Parentheses nest at most `MAX_DEPTH` deep, so the recursion stays bounded,
+and an exponent is at most `MAX_EXPONENT`, checked before the power is
+expanded.
 Every error carries the 0-based position in the input text.
 """
 
@@ -22,6 +24,7 @@ from .poly import CPoly
 from .scalars import GaussianRational
 
 MAX_DEPTH = 100
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -127,8 +130,13 @@ class _Parser:
             tok = self.current
             if tok.kind != "NUMBER":
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
+            digits = tok.text.lstrip("0") or "0"
+            # compare lengths first: int() of a long digit string is slow, and an
+            # error past 4300 digits
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", tok.pos)
             self.advance()
-            return base ** int(tok.text)
+            return base ** int(digits)
         return base
 
     def parse_base(self) -> CPoly:

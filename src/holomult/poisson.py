@@ -95,8 +95,11 @@ def hamiltonian_field(f: CPoly, p: Bivector) -> VectorField:
     partials = [f.diff(i) for i in range(1, p.n + 1)]
     comps = [p.field.ring.zero(p.n) for _ in range(p.n)]
     for (i, j), entry in p.comps.items():
-        comps[j - 1] = comps[j - 1] + entry * partials[i - 1]
-        comps[i - 1] = comps[i - 1] - entry * partials[j - 1]
+        # a zero partial adds nothing: for a coordinate function only one is nonzero
+        if partials[i - 1]:
+            comps[j - 1] = comps[j - 1] + entry * partials[i - 1]
+        if partials[j - 1]:
+            comps[i - 1] = comps[i - 1] - entry * partials[j - 1]
     return p.field(p.n, comps)
 
 

@@ -13,35 +13,52 @@ and serialization deterministic.
 Values are immutable after construction (all operations return new objects),
 so they are safe to share between concurrent workers.
 
-Every polynomial keeps its terms clean: each key is a tuple of `nvars`
-nonnegative ints, and each value is nonzero and of the ring's own type
-(`GaussianRational` with `Fraction` parts for CPoly, `Fraction` for RPoly).
-The public constructor `CPoly(n, terms)` / `RPoly(n, terms)` checks and
-coerces every term to reach that state.  Operations whose result is clean
-by construction (sums, negation, products, scaling, partials, division,
-conjugation, the realification split and `poly_summary`) build it through
-the private `_trusted` constructor, which stores the dict as given; only
-code in this module may call it.
+Storage: integer numerators over one shared denominator.  A polynomial
+keeps two dicts `_re` and `_im` from monomials to Python ints and one int
+`_den`, and its coefficient at a monomial is (_re[m] + i*_im[m]) / _den,
+an absent key reading as 0.  An RPoly's `_im` is always empty.  Every
+polynomial is in canonical form: `_den` is positive, the gcd of `_den` and
+every numerator is 1, no dict holds a zero, and the zero polynomial is
+({}, {}, 1).  Equal polynomials therefore have identical storage, so `==`
+and `hash` compare it structurally (a CPoly with real coefficients equals
+the RPoly with the same terms, as it always has).  The dicts are never
+mutated once a polynomial holds them, so results may share them.  Sums,
+products, scaling, partials, conjugation, division, the realification
+split and `poly_summary` work on the integers alone and build no
+`Fraction` or `GaussianRational`; each result is reduced once by the gcd
+with its denominator and wrapped by the private `_trusted` constructor.
+
+`terms` is a view, built once per polynomial on first read and cached:
+{monomial: coefficient} with `GaussianRational` values with `Fraction`
+parts for CPoly and `Fraction` values for RPoly.  Formatting, `repr`,
+`sorted_terms`, `leading`, exact evaluation and the readers outside this
+module use it.  The public constructor `CPoly(n, terms)` / `RPoly(n,
+terms)` checks and coerces every term, keeps the clean dict as the view and
+derives the integer storage from it.
 Mixing the two rings in one operation is a TypeError.
 
-Float evaluation lives here too, beside the term format it reads:
-`float_evaluator` compiles polynomials of one ring to an exponent matrix
-and a coefficient matrix once, and `evaluate`, the RK4 right-hand side,
-drift and residual sampling in `numcheck` all run through it.  Exact
-evaluation is `evaluate_exact`, in either ring.
+Float evaluation lives here too: `float_evaluator` compiles polynomials of
+one ring to an exponent matrix and a coefficient matrix once, straight from
+the numerators (n / den is correctly rounded, so each coefficient is the
+same double as float(Fraction(n, den))), and `evaluate`, the RK4
+right-hand side, drift and residual sampling in `numcheck` all run through
+it.  Exact evaluation is `evaluate_exact`, in either ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .scalars import I, ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, _make
 
 Monomial = Tuple[int, ...]
+Part = Dict[Monomial, int]
 
 _RZERO = Fraction(0)
 
@@ -50,8 +67,58 @@ def _grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
+def _combine(p: Part, a: int, q: Part, b: int) -> Part:
+    """a*p + b*q without zero entries; p itself when b*q is empty and a == 1."""
+    if not b or not q:
+        if not a or not p:
+            return {}
+        return p if a == 1 else {m: v * a for m, v in p.items()}
+    if not a or not p:
+        return q if b == 1 else {m: v * b for m, v in q.items()}
+    out = dict(p) if a == 1 else {m: v * a for m, v in p.items()}
+    get = out.get
+    for m, v in q.items():
+        acc = get(m)
+        if acc is None:
+            out[m] = v * b
+        else:
+            acc += v * b
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+    return out
+
+
+def _convolve(out: Part, p: Part, q: Part, sign: int):
+    """Add sign * p * q into out (zeros included)."""
+    get = out.get
+    right = q.items()
+    for m1, c1 in p.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in right:
+            mono = tuple(map(add, m1, m2))
+            out[mono] = get(mono, 0) + c1 * c2
+
+
+def _nonzero(part: Part) -> Part:
+    return {m: v for m, v in part.items() if v} if 0 in part.values() else part
+
+
+def _lower(part: Part, i: int) -> Part:
+    """Partial in variable i of one numerator part; lowering exponent i is
+    injective on the terms that keep it positive."""
+    out = {}
+    for mono, v in part.items():
+        e = mono[i]
+        if e:
+            out[mono[:i] + (e - 1,) + mono[i + 1:]] = v * e
+    return out
+
+
 class _BasePoly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_re", "_im", "_den", "_view")
 
     def __init__(self, nvars: int, terms: Dict[Monomial, object] | None = None):
         if nvars < 0:
@@ -69,15 +136,55 @@ class _BasePoly:
                     clean[mono] = clean.get(mono, self._zero()) + coeff
                     if not clean[mono]:
                         del clean[mono]
-        self.terms = clean
+        # the least common denominator leaves no common factor with the numerators
+        ratios = {m: self._ratio(c) for m, c in clean.items()}
+        den = lcm(*(d for _, _, d in ratios.values()))
+        self._re = {m: a * (den // d) for m, (a, _, d) in ratios.items() if a}
+        self._im = {m: b * (den // d) for m, (_, b, d) in ratios.items() if b}
+        self._den = den
+        self._view = clean
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: Dict[Monomial, object]):
-        """Wrap an already clean terms dict (see the module docstring) as is."""
+    def _trusted(cls, nvars: int, re: Part, im: Part, den: int = 1):
+        """Wrap numerators and a denominator already in canonical form as they are."""
         out = object.__new__(cls)
         out.nvars = nvars
-        out.terms = terms
+        out._re = re
+        out._im = im
+        out._den = den
+        out._view = None
         return out
+
+    @classmethod
+    def _reduced(cls, nvars: int, re: Part, im: Part, den: int):
+        """`_trusted` after dividing out the gcd of den and the numerators;
+        re and im hold no zeros and den is positive."""
+        if den != 1:
+            g = gcd(den, *re.values(), *im.values())
+            if g != 1:
+                den //= g
+                re = {m: v // g for m, v in re.items()}
+                im = {m: v // g for m, v in im.items()}
+        return cls._trusted(nvars, re, im, den)
+
+    @property
+    def terms(self) -> Dict[Monomial, object]:
+        """{monomial: coefficient} in the ring's scalar type, built on first read."""
+        view = self._view
+        if view is None:
+            view = self._view = self._build_view()
+        return view
+
+    @classmethod
+    def _ratio(cls, value) -> Tuple[int, int, int]:
+        """(a, b, d) with value == (a + b*i) / d, d > 0 and gcd(a, b, d) == 1,
+        for a scalar the ring accepts."""
+        if type(value) is int:
+            return value, 0, 1
+        value = cls._coerce(value)
+        re, im = (value.re, value.im) if isinstance(value, GaussianRational) else (value, _RZERO)
+        d = lcm(re.denominator, im.denominator)
+        return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
     # subclasses pin the coefficient field
     @staticmethod
@@ -88,15 +195,24 @@ class _BasePoly:
     def _zero():
         raise NotImplementedError
 
+    def _build_view(self):
+        raise NotImplementedError
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int):
-        return cls(nvars, {})
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        return cls._trusted(nvars, {}, {})
 
     @classmethod
     def const(cls, nvars: int, value):
-        return cls(nvars, {(0,) * nvars: value})
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        a, b, d = cls._ratio(value)
+        mono = (0,) * nvars
+        return cls._trusted(nvars, {mono: a} if a else {}, {mono: b} if b else {}, d)
 
     @classmethod
     def var(cls, nvars: int, index: int):
@@ -105,7 +221,7 @@ class _BasePoly:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
         mono = [0] * nvars
         mono[index - 1] = 1
-        return cls(nvars, {tuple(mono): 1})
+        return cls._trusted(nvars, {tuple(mono): 1}, {})
 
     # -- ring operations ----------------------------------------------------
 
@@ -119,23 +235,20 @@ class _BasePoly:
         if not isinstance(other, _BasePoly):
             other = self.const(self.nvars, other)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return self._trusted(self.nvars, out)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            a = b = 1
+        else:
+            d1 = lcm(d1, d2)
+            a, b = d1 // self._den, d1 // d2
+        return self._reduced(self.nvars, _combine(self._re, a, other._re, b),
+                             _combine(self._im, a, other._im, b), d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self._trusted(self.nvars, {m: -v for m, v in self._re.items()},
+                             {m: -v for m, v in self._im.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, _BasePoly):
@@ -149,24 +262,31 @@ class _BasePoly:
         if not isinstance(other, _BasePoly):
             return self.scale(other)
         self._check_compatible(other)
-        out: Dict[Monomial, object] = {}
-        get = out.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                mono = tuple(map(add, m1, m2))
-                acc = get(mono)
-                out[mono] = c1 * c2 if acc is None else acc + c1 * c2
-        return self._trusted(self.nvars, {m: c for m, c in out.items() if c})
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        re: Part = {}
+        im: Part = {}
+        # (ar + i ai)(br + i bi), skipping every empty part
+        if ar and br:
+            _convolve(re, ar, br, 1)
+        if ai and bi:
+            _convolve(re, ai, bi, -1)
+        if ar and bi:
+            _convolve(im, ar, bi, 1)
+        if ai and br:
+            _convolve(im, ai, br, 1)
+        return self._reduced(self.nvars, _nonzero(re), _nonzero(im), self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, value):
-        value = self._coerce(value)
-        if not value:
+        a, b, d = self._ratio(value)
+        if not (a or b):
             return self.zero(self.nvars)
-        return self._trusted(self.nvars, {m: c * value for m, c in self.terms.items()})
+        # (re + i im)(a + i b) / (den d)
+        re, im = self._re, self._im
+        return self._reduced(self.nvars, _combine(re, a, im, -b), _combine(im, a, re, b),
+                             self._den * d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -183,19 +303,20 @@ class _BasePoly:
 
     def __eq__(self, other):
         if isinstance(other, _BasePoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self._den == other._den
+                    and self._re == other._re and self._im == other._im)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self == self.const(self.nvars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._re.items()), frozenset(self._im.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._re or self._im)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._re or self._im)
 
     # -- calculus -----------------------------------------------------------
 
@@ -204,24 +325,31 @@ class _BasePoly:
         if not 1 <= var_index <= self.nvars:
             raise IndexError(f"variable index {var_index} out of range 1..{self.nvars}")
         i = var_index - 1
-        out: Dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[i]
-            if e:
-                # lowering exponent i is injective on the terms that keep it positive
-                out[mono[:i] + (e - 1,) + mono[i + 1:]] = coeff * e
-        return self._trusted(self.nvars, out)
+        return self._reduced(self.nvars, _lower(self._re, i), _lower(self._im, i), self._den)
+
+    def _keys(self):
+        """Each monomial with a nonzero coefficient, once."""
+        re, im = self._re, self._im
+        return chain(re, (m for m in im if m not in re))
+
+    def _monomials(self):
+        """Monomials in decreasing graded-lex order."""
+        return sorted(self._keys(), key=_grlex_key, reverse=True)
+
+    def _lead(self) -> Monomial:
+        return max(self._keys(), key=_grlex_key)
 
     def leading(self):
         """(monomial, coefficient) that is largest in graded-lex order."""
-        if not self.terms:
+        if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_grlex_key)
+        mono = self._lead()
         return mono, self.terms[mono]
 
     def sorted_terms(self):
         """Terms in decreasing graded-lex order (canonical serialization order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        terms = self.terms
+        return [(m, terms[m]) for m in self._monomials()]
 
     def evaluate(self, point):
         """Evaluate at one floating-point point: a complex for CPoly, a float for RPoly."""
@@ -252,19 +380,36 @@ class _BasePoly:
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        nvars = self.nvars
+        dm = divisor._lead()
+        dr, di = divisor._re.get(dm, 0), divisor._im.get(dm, 0)
+        # 1 / ((dr + i di) / den) == (dr - i di) * den / norm
+        norm, dden = dr * dr + di * di, divisor._den
         queue = self
-        q_terms: Dict[Monomial, object] = {}
-        dm, dc = divisor.leading()
-        while queue.terms:
-            rm, rc = queue.leading()
+        pieces = []
+        while queue:
+            rm = queue._lead()
             diff = tuple(map(sub, rm, dm))
             if any(e < 0 for e in diff):
                 return None
-            coeff = rc / dc
-            q_terms[diff] = coeff
-            piece = self._trusted(self.nvars, {diff: coeff})
+            r, s = queue._re.get(rm, 0), queue._im.get(rm, 0)
+            qr, qi = (r * dr + s * di) * dden, (s * dr - r * di) * dden
+            piece = self._reduced(nvars, {diff: qr} if qr else {}, {diff: qi} if qi else {},
+                                  queue._den * norm)
+            pieces.append(piece)
             queue = queue - piece * divisor
-        return self._trusted(self.nvars, q_terms)
+        # the leading monomial falls at every step, so the pieces' monomials
+        # are distinct; over their least common denominator no factor is
+        # shared by all numerators
+        den = lcm(*(p._den for p in pieces))
+        re, im = {}, {}
+        for p in pieces:
+            k = den // p._den
+            for m, v in p._re.items():
+                re[m] = v * k
+            for m, v in p._im.items():
+                im[m] = v * k
+        return self._trusted(nvars, re, im, den)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.nvars}, {self.format()!r})"
@@ -285,38 +430,44 @@ class CPoly(_BasePoly):
 
     _float = complex  # the type float evaluation returns
 
+    def _build_view(self):
+        re, im, den = self._re, self._im, self._den
+        return {m: _make(Fraction(re.get(m, 0), den), Fraction(im.get(m, 0), den))
+                for m in self._keys()}
+
     def conjugate(self) -> "CPoly":
         """Conjugate the coefficients (formally a polynomial in conjugated variables)."""
-        return CPoly._trusted(self.nvars, {m: c.conjugate() for m, c in self.terms.items()})
+        return CPoly._trusted(self.nvars, self._re, {m: -v for m, v in self._im.items()}, self._den)
 
     def realify_split(self) -> tuple["RPoly", "RPoly"]:
         """Substitute z^k = x^k + i*y^k exactly; return (real part, imaginary part).
 
-        The result lives in 2n variables ordered x1..xn, y1..yn.
+        The result lives in 2n variables ordered x1..xn, y1..yn.  The term
+        c * prod_k z_k^e_k expands by the binomial theorem to
+        sum_j c * prod_k C(e_k, j_k) * i^(sum j) * x^(e - j) * y^j, and each
+        xy-monomial comes from exactly one z-monomial (e = (x exps) + (y exps)).
         """
         n = self.nvars
-        out: Dict[Monomial, GaussianRational] = {}
-        zero = ZERO
-        for mono, coeff in self.terms.items():
-            expanded = {(0,) * (2 * n): coeff}
-            for k, e in enumerate(mono):
-                for _ in range(e):
-                    nxt: Dict[Monomial, GaussianRational] = {}
-                    for m2, c2 in expanded.items():
-                        mx = list(m2)
-                        mx[k] += 1
-                        tx = tuple(mx)
-                        nxt[tx] = nxt.get(tx, zero) + c2
-                        my = list(m2)
-                        my[n + k] += 1
-                        ty = tuple(my)
-                        nxt[ty] = nxt.get(ty, zero) + c2 * I
-                    expanded = nxt
-            for m2, c2 in expanded.items():
-                out[m2] = out.get(m2, zero) + c2
-        re_terms = {m: c.re for m, c in out.items() if c.re}
-        im_terms = {m: c.im for m, c in out.items() if c.im}
-        return RPoly._trusted(2 * n, re_terms), RPoly._trusted(2 * n, im_terms)
+        re, im = self._re, self._im
+        out_re: Part = {}
+        out_im: Part = {}
+        for mono in self._keys():
+            r, s = re.get(mono, 0), im.get(mono, 0)
+            # (x exps, y exps, binomial product, power of i)
+            expanded = [((), (), 1, 0)]
+            for e in mono:
+                expanded = [(xs + (e - j,), ys + (j,), c * comb(e, j), q + j)
+                            for xs, ys, c, q in expanded for j in range(e + 1)]
+            for xs, ys, c, q in expanded:
+                # i^q (r + i s): multiplying by i sends (r, s) to (-s, r)
+                a, b = ((r, s), (-s, r), (-r, -s), (s, -r))[q & 3]
+                m = xs + ys
+                if a:
+                    out_re[m] = c * a
+                if b:
+                    out_im[m] = c * b
+        den = self._den
+        return RPoly._reduced(2 * n, out_re, {}, den), RPoly._reduced(2 * n, out_im, {}, den)
 
     def format(self, names=None) -> str:
         return format_poly(self, names or default_z_names(self.nvars))
@@ -343,6 +494,9 @@ class RPoly(_BasePoly):
 
     _float = float  # the type float evaluation returns
 
+    def _build_view(self):
+        return {m: Fraction(v, self._den) for m, v in self._re.items()}
+
     def format(self, names=None) -> str:
         return format_poly(self, names or default_xy_names(self.nvars))
 
@@ -362,10 +516,14 @@ def float_evaluator(polys):
     for p in polys[1:]:
         first._check_compatible(p)
     nvars, kind = first.nvars, first._float
-    monos = sorted({m for p in polys for m in p.terms}, key=_grlex_key, reverse=True)
+    monos = sorted({m for p in polys for m in p._keys()}, key=_grlex_key, reverse=True)
     exps = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
-    coeffs = np.array([[kind(p.terms.get(m, 0)) for p in polys] for m in monos], dtype=kind)
-    coeffs = coeffs.reshape(len(monos), len(polys))
+    if kind is complex:
+        rows = [[complex(p._re.get(m, 0) / p._den, p._im.get(m, 0) / p._den) for p in polys]
+                for m in monos]
+    else:
+        rows = [[p._re.get(m, 0) / p._den for p in polys] for m in monos]
+    coeffs = np.array(rows, dtype=kind).reshape(len(monos), len(polys))
 
     def evaluate(points):
         points = np.asarray(points, dtype=kind)
@@ -404,7 +562,7 @@ def _format_coeff(coeff) -> str:
 
 def format_poly(p: _BasePoly, names) -> str:
     """Canonical text form: graded-lex descending, parse-compatible."""
-    if not p.terms:
+    if p.is_zero():
         return "0"
     pieces = []
     for mono, coeff in p.sorted_terms():
@@ -437,10 +595,12 @@ def poly_summary(p: _BasePoly, limit: int = 3) -> str:
     """Short residual description: '0' or the first few leading terms."""
     if p.is_zero():
         return "0"
-    terms = p.sorted_terms()
-    head = p._trusted(p.nvars, dict(terms[:limit]))
-    text = head.format()
-    extra = len(terms) - limit
+    monos = p._monomials()
+    head = monos[:limit]
+    re, im = p._re, p._im
+    text = p._reduced(p.nvars, {m: re[m] for m in head if m in re},
+                      {m: im[m] for m in head if m in im}, p._den).format()
+    extra = len(monos) - limit
     if extra > 0:
         text += f" + ({extra} more terms)"
     return text

@@ -5,7 +5,7 @@ so it pins how much work is done, not only what comes out.
 """
 
 from holomult.calculus import Multivector
-from holomult.poisson import Bivector, poisson_bracket
+from holomult.poisson import Bivector, hamiltonian_field, poisson_bracket
 from holomult.poly import CPoly, _BasePoly
 
 
@@ -57,3 +57,31 @@ def test_poisson_bracket_differentiates_each_argument_once_per_variable(monkeypa
     assert poisson_bracket(f, g, p) == expected
     assert len(p.comps) == 15
     assert len(calls) <= 2 * n
+
+
+def test_hamiltonian_fields_of_coordinates_skip_zero_partials(monkeypatch):
+    n = 6
+    p = dense_bivector(n)
+    expected = []
+    for l in range(1, n + 1):
+        comps = [CPoly.zero(n)] * n
+        for (i, j), entry in p.comps.items():
+            if i == l:
+                comps[j - 1] = comps[j - 1] + entry
+            if j == l:
+                comps[i - 1] = comps[i - 1] - entry
+        expected.append(comps)
+
+    calls = []
+    mul = _BasePoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append((self.is_zero(), other.is_zero()))
+        return mul(self, other)
+
+    monkeypatch.setattr(_BasePoly, "__mul__", counting_mul)
+    # the six fields one jacobiator builds, one per coordinate function
+    for l in range(1, n + 1):
+        assert hamiltonian_field(CPoly.var(n, l), p).components == expected[l - 1]
+    assert len(calls) == 30
+    assert not any(a or b for a, b in calls)
