@@ -12,7 +12,10 @@ and a Jacobiator a grade-3 one.  Grade-0 objects are plain polynomial
 scalars: operations that land in grade 0 return the scalar directly.
 Every operation builds its result in the ring of its operands, so apply,
 divergence, Lie bracket, wedge, interior product, pairing, flat, sharp and
-curl run on the real side as they do on the complex one.
+curl run on the real side as they do on the complex one.  `divergence`
+takes any grade >= 1 and equals `curl` on every grade without going through
+forms, and `interior_product` contracts both ways: a multivector into a
+form, or a form into a multivector.
 
 The interior-product sign convention is fixed once: for a decomposable
 multivector with increasing factors, contraction starts with the lowest
@@ -66,14 +69,26 @@ def _merge_indices(left: IndexSet, right: IndexSet):
     return sign, tuple(merged)
 
 
-def _remove_index(idx: int, indices: IndexSet):
-    """Contract one index: (sign, remaining) or None when idx is absent."""
-    try:
-        pos = indices.index(idx)
-    except ValueError:
-        return None
-    sign = -1 if pos % 2 else 1
-    return sign, indices[:pos] + indices[pos + 1:]
+def _contract(indices: IndexSet, target: IndexSet):
+    """Remove each of `indices` from `target`, lowest first, each at sign (-1)^position.
+
+    Returns (sign, remaining) or None when an index is absent.
+    """
+    sign = 1
+    for idx in indices:
+        if idx not in target:
+            return None
+        pos = target.index(idx)
+        if pos % 2:
+            sign = -sign
+        target = target[:pos] + target[pos + 1:]
+    return sign, target
+
+
+def _check_rings(a: "_Graded", b: "_Graded") -> None:
+    """Two graded operands combine only over one ring, even where no product is taken."""
+    if a.ring is not b.ring:
+        raise TypeError(f"ring mismatch: {a.ring.__name__} vs {b.ring.__name__}")
 
 
 def _accumulate(out: Dict[IndexSet, CPoly], key: IndexSet, value: CPoly) -> None:
@@ -166,10 +181,9 @@ class _Graded:
         return self + (-other)
 
     def scale(self, poly_or_scalar):
-        if isinstance(poly_or_scalar, self.ring):
-            factor = poly_or_scalar
-        else:
-            factor = self.ring.const(self.n, poly_or_scalar)
+        factor = poly_or_scalar
+        if not isinstance(factor, _BasePoly):
+            factor = self.ring.const(self.n, factor)
         return self._like({k: v * factor for k, v in self.comps.items()})
 
     def __repr__(self):
@@ -272,27 +286,32 @@ def apply_field(field: VectorField, f: CPoly) -> CPoly:
 
 
 def lie_bracket(z: VectorField, w: VectorField) -> VectorField:
+    """[Z, W]: component k is Z(W^k) - W(Z^k)."""
     if type(w) is not type(z) or w.n != z.n:
         raise ValueError("vector fields differ in class or dimension")
-    zc, wc = z.components, w.components
-    comps = []
-    for k in range(1, z.n + 1):
-        acc = z.ring.zero(z.n)
-        for i in range(1, z.n + 1):
-            acc = acc + zc[i - 1] * wc[k - 1].diff(i)
-            acc = acc - wc[i - 1] * zc[k - 1].diff(i)
-        comps.append(acc)
-    return type(z)(z.n, comps)
+    return type(z)(z.n, [apply_field(z, wk) - apply_field(w, zk)
+                         for zk, wk in zip(z.components, w.components)])
 
 
-def divergence(field: VectorField, omega: VolumeForm) -> CPoly:
-    """Trace of the Jacobian; the constant volume weight cancels exactly."""
-    if field.n != omega.n:
+def divergence(a: Multivector, omega: VolumeForm):
+    """Divergence of a multivector of grade >= 1; equals `curl(a, omega)` on every grade.
+
+    Component K is sum_l (-1)^s dA^{K+l}/dz^l, s the number of indices of K
+    above l; grade 1 gives the scalar trace.  The constant weight cancels.
+    """
+    if a.n != omega.n:
         raise ValueError("dimension mismatch between field and volume form")
-    out = field.ring.zero(field.n)
-    for i, comp in enumerate(field.components, start=1):
-        out = out + comp.diff(i)
-    return out
+    out: Dict[IndexSet, CPoly] = {}  # grade 0 lands under the key ()
+    last = a.grade - 1
+    for key, comp in a.comps.items():
+        for pos, l in enumerate(key):
+            d = comp.diff(l)
+            if d:
+                # the last - pos indices after l in key are those of K above l
+                _accumulate(out, key[:pos] + key[pos + 1:], -d if (last - pos) % 2 else d)
+    if a.grade == 1:
+        return out.get((), a.ring.zero(a.n))
+    return Multivector(a.n, a.grade - 1, out, a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +332,7 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
     kind = Form if isinstance(a, Form) else Multivector
     if not isinstance(b, kind) or a.n != b.n:
         raise ValueError("wedge needs matching object kinds and dimensions")
+    _check_rings(a, b)
     grade = a.grade + b.grade
     if grade > a.n:
         # identically zero beyond the top grade; keep an empty top container
@@ -350,12 +370,11 @@ def partial_d(phi: GradedOrScalar) -> Form:
 
 
 def interior_product(a, phi):
-    """Contraction of a multivector into a form.
+    """Contraction of a multivector into a form, or of a form into a multivector.
 
-    Accepts a multivector (a vector field included) or polynomial on the left
-    and a Form or polynomial on the right.  The result grade is
-    phi.grade - a.grade; a scalar is returned at grade 0 and the zero scalar
-    of the ring below grade 0.
+    Either side may also be a polynomial.  The result has the kind of `phi`
+    and grade phi.grade - a.grade; a scalar is returned at grade 0 and the
+    zero scalar of the ring below grade 0.
     """
     if isinstance(a, _BasePoly):
         if isinstance(phi, _BasePoly):
@@ -365,28 +384,23 @@ def interior_product(a, phi):
         return a.ring.zero(a.n)
     if a.n != phi.n:
         raise ValueError("dimension mismatch in interior product")
+    if isinstance(a, Form) == isinstance(phi, Form):
+        raise ValueError("interior product needs one multivector and one form")
+    _check_rings(a, phi)
     if a.grade > phi.grade:
         return phi.ring.zero(a.n)
     result_grade = phi.grade - a.grade
     out: Dict[IndexSet, CPoly] = {}  # grade 0 lands under the key ()
     for ka, va in a.comps.items():
         for kf, vf in phi.comps.items():
-            sign = 1
-            rest = kf
-            ok = True
-            for idx in ka:  # contract the lowest factor first
-                removed = _remove_index(idx, rest)
-                if removed is None:
-                    ok = False
-                    break
-                s, rest = removed
-                sign *= s
-            if not ok:
-                continue
-            _accumulate(out, rest, va * vf if sign > 0 else -(va * vf))
+            contracted = _contract(ka, kf)
+            if contracted is not None:
+                sign, rest = contracted
+                _accumulate(out, rest, va * vf if sign > 0 else -(va * vf))
     if result_grade == 0:
         return out.get((), phi.ring.zero(a.n))
-    return Form(a.n, result_grade, out, phi.ring)
+    kind = Form if isinstance(phi, Form) else Multivector
+    return kind(a.n, result_grade, out, phi.ring)
 
 
 def pairing(phi: Form, a) -> CPoly:
@@ -400,6 +414,7 @@ def pairing(phi: Form, a) -> CPoly:
         raise ValueError("pairing needs equal grades and dimensions")
     if phi.grade != a.grade or phi.n != a.n:
         raise ValueError("pairing needs equal grades and dimensions")
+    _check_rings(phi, a)
     out = phi.ring.zero(phi.n)
     for key, poly in phi.comps.items():
         other = a.comps.get(key)
@@ -428,34 +443,24 @@ def flat(a, omega: VolumeForm):
     return interior_product(a, top)
 
 
-def _basis_flat_sign(indices: IndexSet, n: int) -> Tuple[int, IndexSet]:
-    """Sign s and complement K with flat(d_I basis multivector) = s * weight * dz^K."""
-    sign = 1
-    rest = tuple(range(1, n + 1))
-    for idx in indices:
-        s, rest = _remove_index(idx, rest)
-        sign *= s
-    return sign, rest
-
-
 def sharp(phi, omega: VolumeForm):
     """Inverse of flat: raise an (n-p)-form to a p-multivector in the ring of phi."""
     n = omega.n
     inv_weight = GaussianRational(1) / omega.weight
+    full = tuple(range(1, n + 1))
     if isinstance(phi, _BasePoly):
         # 0-form -> top multivector
-        return Multivector(n, n, {tuple(range(1, n + 1)): phi.scale(inv_weight)}, type(phi))
+        return Multivector(n, n, {full: phi.scale(inv_weight)}, type(phi))
     if phi.n != n:
         raise ValueError("dimension mismatch with volume form")
     grade = n - phi.grade
-    full = set(range(1, n + 1))
     if grade == 0:
-        key = tuple(range(1, n + 1))
-        return phi.component(key).scale(inv_weight)
+        return phi.component(full).scale(inv_weight)
     out: Dict[IndexSet, CPoly] = {}
     for key, poly in phi.comps.items():
-        indices = tuple(sorted(full - set(key)))
-        sign, complement = _basis_flat_sign(indices, n)
+        indices = tuple(i for i in full if i not in key)
+        # flat of the basis multivector d_indices is sign * weight * dz^complement
+        sign, complement = _contract(indices, full)
         if complement != key:
             raise AssertionError("complement bookkeeping is inconsistent")
         coeff = inv_weight if sign > 0 else -inv_weight

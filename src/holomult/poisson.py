@@ -4,7 +4,10 @@ A bivector is a grade-2 `Multivector`: it stores only its strictly
 upper-triangular components, and the lower triangle is implied by
 antisymmetry.  The class attribute `field` is the class of its Hamiltonian
 and modular fields and `field.ring` the ring of its components, so the
-realified subclass runs the same code.  The Jacobiator is half the
+realified subclass runs the same code.  The fields and the bracket are
+calculus operations: the Hamiltonian field of f is the contraction of df
+into P, the modular field is the divergence of P against the volume form,
+and {f, g} is the pairing of df ^ dg with P.  The Jacobiator is half the
 Schouten bracket, a grade-3 multivector over the same ring built with
 `wedge`:
 
@@ -28,6 +31,8 @@ from .calculus import (
     curl,
     divergence,
     flat,
+    interior_product,
+    pairing,
     partial_d,
     wedge,
 )
@@ -57,14 +62,10 @@ Trivector = Multivector
 
 
 def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
+    """{f, g} = <df ^ dg, P> = sum_{i<j} P^{ij} (df/dz^i dg/dz^j - df/dz^j dg/dz^i)."""
     if f.nvars != p.n or g.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
-    df = [f.diff(i) for i in range(1, p.n + 1)]
-    dg = [g.diff(i) for i in range(1, p.n + 1)]
-    out = p.field.ring.zero(p.n)
-    for (i, j), comp in p.comps.items():
-        out = out + comp * (df[i - 1] * dg[j - 1] - df[j - 1] * dg[i - 1])
-    return out
+    return pairing(wedge(partial_d(f), partial_d(g)), p)
 
 
 def jacobiator(p: Bivector) -> Multivector:
@@ -89,34 +90,24 @@ def is_poisson(p: Bivector) -> bool:
 
 
 def hamiltonian_field(f: CPoly, p: Bivector) -> VectorField:
-    """Field generating the bracket with f: component j is sum_i P^{ij} df/dz^i."""
+    """Field generating the bracket with f, the contraction of df into P.
+
+    Component j is sum_i P^{ij} df/dz^i; zero partials are never stored, so never multiplied.
+    """
     if f.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
-    partials = [f.diff(i) for i in range(1, p.n + 1)]
-    comps = [p.field.ring.zero(p.n) for _ in range(p.n)]
-    for (i, j), entry in p.comps.items():
-        # a zero partial adds nothing: for a coordinate function only one is nonzero
-        if partials[i - 1]:
-            comps[j - 1] = comps[j - 1] + entry * partials[i - 1]
-        if partials[j - 1]:
-            comps[i - 1] = comps[i - 1] - entry * partials[j - 1]
-    return p.field(p.n, comps)
+    return interior_product(partial_d(f), p).to_field()
 
 
 def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:
-    """Field measuring volume distortion of Hamiltonian flows.
+    """Field measuring volume distortion of Hamiltonian flows: the divergence of P.
 
     Component i is sum_j dP^{ij}/dz^j; the constant volume weight drops out,
     exactly as it does in the divergence.
     """
     if p.n != omega.n:
         raise ValueError("dimension mismatch with volume form")
-    comps = [p.ring.zero(p.n)] * p.n
-    for (i, j), entry in p.comps.items():
-        # P^{ij} feeds component i; P^{ji} = -P^{ij} feeds component j
-        comps[i - 1] = comps[i - 1] + entry.diff(j)
-        comps[j - 1] = comps[j - 1] - entry.diff(i)
-    return p.field(p.n, comps)
+    return divergence(p, omega).to_field()
 
 
 def is_unimodular_with(p: Bivector, h: CPoly, omega: VolumeForm) -> bool:
@@ -213,13 +204,11 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
         raise ValueError("candidate multiplier must be nonzero")
     if alpha.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
-    # route 1: componentwise divergence of the scaled bivector
-    comps = [p.ring.zero(p.n)] * p.n
-    for (i, j), entry in p.comps.items():
-        scaled = alpha * entry
-        comps[i - 1] = comps[i - 1] + scaled.diff(j)
-        comps[j - 1] = comps[j - 1] - scaled.diff(i)
-    direct = p.field(p.n, comps)
+    if p.n != omega.n:
+        raise ValueError("dimension mismatch with volume form")
+    # route 1: componentwise divergence of the scaled bivector (not through
+    # modular_field, whose first call marks the start of route 3)
+    direct = divergence(p.scale(alpha), omega).to_field()
     # route 2: curl of alpha*P via flat / exterior derivative / sharp
     via_forms = curl(p.scale(alpha), omega).to_field()
     if via_forms != direct:

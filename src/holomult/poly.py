@@ -55,7 +55,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .scalars import ZERO, GaussianRational, _make
+from .scalars import ZERO, GaussianRational, _make, rational_text
 
 Monomial = Tuple[int, ...]
 Part = Dict[Monomial, int]
@@ -549,15 +549,15 @@ def _format_coeff(coeff) -> str:
     """Render a coefficient in the form the parser reads back."""
     if isinstance(coeff, GaussianRational):
         if coeff.im == 0:
-            return str(coeff.re)
+            return rational_text(coeff.re)
         if coeff.re == 0:
             if coeff.im == 1:
                 return "i"
             if coeff.im == -1:
                 return "-i"
-            return f"{coeff.im}*i"
+            return f"{rational_text(coeff.im)}*i"
         return f"({coeff})"
-    return str(coeff)
+    return rational_text(coeff)
 
 
 def format_poly(p: _BasePoly, names) -> str:

@@ -120,13 +120,29 @@ class GaussianRational:
 
     def __str__(self):
         if self.im == 0:
-            return str(self.re)
+            return rational_text(self.re)
         if self.re == 0:
-            return f"{self.im}*i" if self.im != 1 else "i"
+            return f"{rational_text(self.im)}*i" if self.im != 1 else "i"
         sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        imtxt = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{imtxt}"
+        imtxt = "i" if mag == 1 else f"{rational_text(mag)}*i"
+        return f"{rational_text(self.re)}{sign}{imtxt}"
+
+
+def rational_text(q) -> str:
+    """str() of a Fraction or int, also past the interpreter's digit limit.
+
+    `str()` refuses an integer longer than `sys.get_int_max_str_digits()`;
+    `decimal.Decimal` converts it without that limit, which stays untouched.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        from decimal import Decimal  # only for numbers longer than the limit
+
+        q = Fraction(q)
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 _new = object.__new__
