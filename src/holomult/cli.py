@@ -6,11 +6,16 @@ bound with `set_defaults(run=...)`; the field, bivector-entry and volume
 syntax is the manifest's (`holomult.manifest`).  Exit codes: 0 success / all
 tasks passed, 1 some verification task failed, 2 malformed input, 3 two
 exact routes of a cross-checked computation disagreed (an internal defect).
+
+`main` builds its argument parser once per process, on its first call, and
+reuses it: parsing keeps no state between calls, so each call still starts
+from the defaults.  `build_parser()` returns a fresh parser every time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, Tuple
@@ -215,8 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:  # ManifestError, ParseError and CliError included

@@ -5,6 +5,9 @@ constants (increment 0x9E3779B97F4A7C15, mix multipliers 0xBF58476D1CE4E5B9
 and 0x94D049BB133111EB, shifts 30/27/31); uniform doubles come from the top
 53 bits, so any implementation of the same generator samples identical
 points.  Float evaluation goes through `poly.float_evaluator`.
+
+numpy is loaded on first use: each function that needs it imports it
+locally, so importing this module (and `holomult`) does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .poly import CPoly, RPoly, float_evaluator
 from .realify import RealVectorField
@@ -53,6 +54,8 @@ class Trajectory:
     truncated: bool = False
 
     def __post_init__(self):
+        import numpy as np
+
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
 
@@ -63,6 +66,8 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
     Stops early (flagging the trajectory truncated) if the state leaves the
     finite floats.
     """
+    import numpy as np
+
     if field.ring is not RPoly:
         raise ValueError("integrate needs a real field: every component must be an RPoly")
     for name, value in (("step", step), ("t_end", t_end)):
@@ -99,6 +104,8 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
 
 def first_integral_drift(f: RPoly, traj: Trajectory) -> float:
     """Largest deviation of f along the trajectory from its initial value."""
+    import numpy as np
+
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     values = float_evaluator([f])(traj.states)[:, 0]
@@ -111,6 +118,8 @@ def residual_sample(p, count: int, seed: int, box: float = 1.0) -> float:
     CPoly inputs draw two uniforms per variable (real then imaginary part,
     variable-major); RPoly inputs draw one per variable.
     """
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be at least 1")
     if isinstance(p, CPoly):
@@ -124,6 +133,8 @@ def residual_sample(p, count: int, seed: int, box: float = 1.0) -> float:
 
 def sample_points(nvars: int, count: int, seed: int, box: float = 1.0) -> np.ndarray:
     """The (count, nvars) real sample grid, drawn point by point, used by residual_sample."""
+    import numpy as np
+
     rng = SplitMix64(seed)
     draws = [rng.next_symmetric(box) for _ in range(count * nvars)]
     return np.array(draws, dtype=float).reshape(count, nvars)

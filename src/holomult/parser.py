@@ -11,7 +11,8 @@ Grammar (whitespace insignificant, no implicit multiplication):
 A leading minus is accepted so canonically formatted polynomials round-trip.
 Parentheses nest at most `MAX_DEPTH` deep, so the recursion stays bounded,
 and an exponent is at most `MAX_EXPONENT`, checked before the power is
-expanded.
+expanded.  Any other digit run (a number or a variable index) is at most
+`MAX_LITERAL_DIGITS` long, checked by length before `int()` sees it.
 Every error carries the 0-based position in the input text.
 """
 
@@ -25,6 +26,7 @@ from .scalars import GaussianRational
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 1000
+MAX_LITERAL_DIGITS = 4300  # CPython's default limit on int <-> str conversion
 
 
 class ParseError(ValueError):
@@ -56,6 +58,10 @@ def _tokenize(text: str) -> List[Token]:
                 raise ParseError("decimal literals are not Gaussian rationals; use p/q", i)
             if i < size and text[i].isalpha() and text[i] not in "iz":
                 raise ParseError(f"non-rational literal starting with {text[start:i + 1]!r}", start)
+            # an exponent is bounded by MAX_EXPONENT in parse_factor, by length too
+            exponent = bool(tokens) and tokens[-1].text == "^"
+            if i - start > MAX_LITERAL_DIGITS and not exponent:
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", start)
             tokens.append(Token("NUMBER", text[start:i], start))
             continue
         if ch == "z":
@@ -65,6 +71,8 @@ def _tokenize(text: str) -> List[Token]:
                 raise ParseError("variable needs a numeric index, e.g. z1", start)
             while i < size and text[i].isdigit():
                 i += 1
+            if i - start - 1 > MAX_LITERAL_DIGITS:
+                raise ParseError(f"variable index longer than {MAX_LITERAL_DIGITS} digits", start)
             tokens.append(Token("VAR", text[start:i], start))
             continue
         if ch == "i":

@@ -53,8 +53,6 @@ from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Dict, Tuple
 
-import numpy as np
-
 from .scalars import ZERO, GaussianRational, _make, rational_text
 
 Monomial = Tuple[int, ...]
@@ -508,8 +506,11 @@ def float_evaluator(polys):
     for CPoly and float for RPoly, as one product of monomial values with a
     coefficient matrix over the union of the polynomials' monomials.  The
     monomials are summed in decreasing graded-lex order, so equal polynomials
-    give identical floats.
+    give identical floats.  numpy is loaded on first use, so the exact layers
+    never import it.
     """
+    import numpy as np
+
     if not polys:
         raise ValueError("float_evaluator needs at least one polynomial")
     first = polys[0]

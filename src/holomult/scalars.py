@@ -116,7 +116,10 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        # Fraction's own repr, with numerator and denominator past str()'s digit limit too
+        re, im = (f"Fraction({rational_text(q.numerator)}, {rational_text(q.denominator)})"
+                  for q in (self.re, self.im))
+        return f"GaussianRational({re}, {im})"
 
     def __str__(self):
         if self.im == 0:
