@@ -493,9 +493,7 @@ def scaled_partial_d(alpha: _BasePoly, phi: GradedOrScalar) -> Form:
     """
     if alpha.is_zero():
         raise ValueError("scaling function must be nonzero")
-    if isinstance(phi, _BasePoly):
-        return partial_d(alpha * phi)
-    return partial_d(phi.scale(alpha))
+    return partial_d(wedge(alpha, phi))
 
 
 def twisted_partial_d(f: _BasePoly, k: int, phi: GradedOrScalar) -> Form:

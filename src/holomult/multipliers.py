@@ -22,7 +22,7 @@ from .calculus import (
     wedge,
 )
 from .linsolve import solve_linear
-from .poly import CPoly, _BasePoly
+from .poly import CPoly
 from .scalars import GaussianRational
 
 
@@ -53,11 +53,7 @@ def is_last_multiplier(alpha: CPoly, field: VectorField, omega: VolumeForm) -> C
     the volume form); the two routes must agree exactly.
     """
     residual = apply_field(field, alpha) + alpha * divergence(field, omega)
-    theta = flat(field, omega)
-    if isinstance(theta, _BasePoly):  # n == 1: theta is already a scalar
-        d_alpha_theta = partial_d(alpha * theta)
-    else:
-        d_alpha_theta = partial_d(theta.scale(alpha))
+    d_alpha_theta = partial_d(wedge(alpha, flat(field, omega)))
     top = tuple(range(1, field.n + 1))
     form_residual = d_alpha_theta.component(top)
     expected = residual.scale(omega.weight)

@@ -131,9 +131,7 @@ class _BasePoly:
                     raise ValueError(f"negative exponent in monomial {mono}")
                 coeff = self._coerce(coeff)
                 if coeff:
-                    clean[mono] = clean.get(mono, self._zero()) + coeff
-                    if not clean[mono]:
-                        del clean[mono]
+                    clean[mono] = coeff
         # the least common denominator leaves no common factor with the numerators
         ratios = {m: self._ratio(c) for m, c in clean.items()}
         den = lcm(*(d for _, _, d in ratios.values()))
