@@ -22,7 +22,11 @@ multivector with increasing factors, contraction starts with the lowest
 index.  Under the determinant duality pairing (pairing of matching
 increasing basis sets is +1) this convention satisfies
 <i_A phi, B> == <phi, A wedge B>, which is what the property tests pin down.
-All derived signs (flat, sharp, curl) inherit this single choice.
+`_contract` is the one sign rule: wedge and exterior derivative take the
+sign of a merged index set from it, sharp is the contraction into the top
+multivector, and `component` reads an index set in any order with its
+sign.  Only `divergence` counts its own parity, as an independent route to
+the curl.  A result above grade n is empty and keeps its true grade.
 """
 
 from __future__ import annotations
@@ -45,28 +49,14 @@ def _check_index_set(indices: IndexSet, grade: int, n: int):
 
 
 def _merge_indices(left: IndexSet, right: IndexSet):
-    """Sort the concatenation of two increasing index sets.
+    """Sort two increasing index sets together: (sign, merged), or None on a repeat.
 
-    Returns (sign, merged) or None when an index repeats.
+    The sign is `_contract`'s for taking `left` back out of the merged set.
     """
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return None
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] jumps over the remaining left entries
-            if (len(left) - i) % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(merged)
+    merged = tuple(sorted(left + right))
+    if len(set(merged)) < len(merged):
+        return None
+    return _contract(left, merged)[0], merged
 
 
 def _contract(indices: IndexSet, target: IndexSet):
@@ -104,8 +94,9 @@ class _Graded:
     """Shared container for multivectors and forms of grade >= 1 over `ring`.
 
     A grade above n is allowed and can only hold zero: every index set is
-    rejected.  A subclass may fix its ring with a class attribute `ring`,
-    which then overrides the `ring` argument.
+    rejected, and an operation whose result lands there returns it empty.
+    A subclass may fix its ring with a class attribute `ring`, which then
+    overrides the `ring` argument.
     """
 
     __slots__ = ("n", "grade", "comps", "_ring")
@@ -125,7 +116,8 @@ class _Graded:
                 raise TypeError(f"ring mismatch: {type(self).__name__} components must be {ring.__name__}")
             if poly.nvars != n:
                 raise ValueError("component variable count differs from dimension")
-            _accumulate(self.comps, indices, poly)
+            if poly:
+                self.comps[indices] = poly
 
     @property
     def ring(self):
@@ -146,11 +138,22 @@ class _Graded:
         return self.n, self.grade, self.ring
 
     def component(self, *indices) -> CPoly:
-        """The component at an index set, given as one tuple or as separate indices."""
+        """The component at an index set, given as one tuple or as separate indices.
+
+        Any order reads the stored component, negated when `_contract` finds
+        the order odd; a repeated index or an absent set reads as zero.
+        """
         if len(indices) == 1 and not isinstance(indices[0], int):
             indices = indices[0]
-        comp = self.comps.get(tuple(indices))
-        return comp if comp is not None else self.ring.zero(self.n)
+        indices = tuple(indices)
+        comp = self.comps.get(indices)
+        if comp is not None:
+            return comp
+        ordered = tuple(sorted(indices))
+        comp = self.comps.get(ordered)
+        if comp is None:
+            return self.ring.zero(self.n)
+        return comp if _contract(indices, ordered)[0] > 0 else -comp
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -234,9 +237,9 @@ class VectorField(Multivector):
 
     @classmethod
     def coordinate(cls, n: int, index: int) -> "VectorField":
-        comps = [cls.ring.zero(n) for _ in range(n)]
-        comps[index - 1] = cls.ring.const(n, 1)
-        return cls(n, comps)
+        if not 1 <= index <= n:
+            raise IndexError(f"coordinate index {index} out of range 1..{n}")
+        return cls(n, [cls.ring.const(n, int(i == index)) for i in range(1, n + 1)])
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n}, [{', '.join(c.format() for c in self.components)}])"
@@ -333,10 +336,6 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
     if not isinstance(b, kind) or a.n != b.n:
         raise ValueError("wedge needs matching object kinds and dimensions")
     _check_rings(a, b)
-    grade = a.grade + b.grade
-    if grade > a.n:
-        # identically zero beyond the top grade; keep an empty top container
-        return kind(a.n, a.n, {}, a.ring)
     out: Dict[IndexSet, CPoly] = {}
     for ka, va in a.comps.items():
         for kb, vb in b.comps.items():
@@ -345,7 +344,7 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
                 continue
             sign, key = merged
             _accumulate(out, key, va * vb if sign > 0 else -(va * vb))
-    return kind(a.n, grade, out, a.ring)
+    return kind(a.n, a.grade + b.grade, out, a.ring)
 
 
 def partial_d(phi: GradedOrScalar) -> Form:
@@ -353,19 +352,17 @@ def partial_d(phi: GradedOrScalar) -> Form:
     if isinstance(phi, _BasePoly):
         nv = phi.nvars
         return Form(nv, 1, {(i,): phi.diff(i) for i in range(1, nv + 1)}, type(phi))
-    if phi.grade >= phi.n:
-        raise ValueError("exterior derivative of a top-grade form is zero by degree")
     out: Dict[IndexSet, CPoly] = {}
     for key, poly in phi.comps.items():
         for i in range(1, phi.n + 1):
-            d = poly.diff(i)
-            if not d:
-                continue
+            # an index already in key gives zero: skip it before differentiating
             merged = _merge_indices((i,), key)
             if merged is None:
                 continue
-            sign, newkey = merged
-            _accumulate(out, newkey, d if sign > 0 else -d)
+            d = poly.diff(i)
+            if d:
+                sign, newkey = merged
+                _accumulate(out, newkey, d if sign > 0 else -d)
     return Form(phi.n, phi.grade + 1, out, phi.ring)
 
 
@@ -444,28 +441,22 @@ def flat(a, omega: VolumeForm):
 
 
 def sharp(phi, omega: VolumeForm):
-    """Inverse of flat: raise an (n-p)-form to a p-multivector in the ring of phi."""
+    """Inverse of flat: raise an (n-p)-form to a p-multivector in the ring of phi.
+
+    The mirror of flat: phi is contracted into the top multivector of weight
+    1/weight, and the result negated when p(n - p) is odd.
+    """
     n = omega.n
-    inv_weight = GaussianRational(1) / omega.weight
-    full = tuple(range(1, n + 1))
+    ring = type(phi) if isinstance(phi, _BasePoly) else phi.ring
+    inv_weight = ring.const(n, GaussianRational(1) / omega.weight)
+    top = Multivector(n, n, {tuple(range(1, n + 1)): inv_weight}, ring)
     if isinstance(phi, _BasePoly):
-        # 0-form -> top multivector
-        return Multivector(n, n, {full: phi.scale(inv_weight)}, type(phi))
+        return top.scale(phi)
     if phi.n != n:
         raise ValueError("dimension mismatch with volume form")
-    grade = n - phi.grade
-    if grade == 0:
-        return phi.component(full).scale(inv_weight)
-    out: Dict[IndexSet, CPoly] = {}
-    for key, poly in phi.comps.items():
-        indices = tuple(i for i in full if i not in key)
-        # flat of the basis multivector d_indices is sign * weight * dz^complement
-        sign, complement = _contract(indices, full)
-        if complement != key:
-            raise AssertionError("complement bookkeeping is inconsistent")
-        coeff = inv_weight if sign > 0 else -inv_weight
-        out[indices] = poly.scale(coeff)
-    return Multivector(n, grade, out, phi.ring)
+    raised = interior_product(phi, top)
+    p = n - phi.grade
+    return -raised if p * (n - p) % 2 else raised
 
 
 def curl(a, omega: VolumeForm):
@@ -498,17 +489,5 @@ def scaled_partial_d(alpha: _BasePoly, phi: GradedOrScalar) -> Form:
 
 def twisted_partial_d(f: _BasePoly, k: int, phi: GradedOrScalar) -> Form:
     """Degree-weighted twisted derivative: f * d(phi) - (p - k) * df ^ phi."""
-    if isinstance(phi, _BasePoly):
-        d_phi = partial_d(phi).scale(f)
-        if k == 0:
-            return d_phi
-        return d_phi + partial_d(f).scale(phi).scale(k)
-    p = phi.grade
-    if p == phi.n:
-        # both d(phi) and df ^ phi overflow the top grade
-        return Form(phi.n, p, {}, phi.ring)
-    out = partial_d(phi).scale(f)
-    if p != k:
-        correction = wedge(partial_d(f), phi).scale(p - k)
-        out = out - correction
-    return out
+    p = 0 if isinstance(phi, _BasePoly) else phi.grade
+    return partial_d(phi).scale(f) - wedge(partial_d(f), phi).scale(p - k)

@@ -22,7 +22,8 @@ from typing import Dict, Tuple
 
 from .calculus import VolumeForm, divergence, lie_bracket
 from .manifest import (
-    add_bivector_entry, emit_report, load_manifest, parse_constant, parse_field, run_tasks,
+    _check_dimension, add_bivector_entry, emit_report, load_manifest, parse_constant, parse_field,
+    run_tasks,
 )
 from .numcheck import SplitMix64, integrate
 from .parser import parse_expr
@@ -229,6 +230,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "dim" in vars(args):
+            _check_dimension(args.dim)
         return args.run(args)
     except (ValueError, OSError) as exc:  # ManifestError, ParseError and CliError included
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,12 @@ class ManifestError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_dimension(dim: int) -> None:
+    """The one dimension rule, for a manifest's `[dim]` and the CLI's `--dim`."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+
+
 def parse_field(text: str, dim: int) -> VectorField:
     """A vector field written as `dim` ';'-separated component expressions."""
     parts = [p.strip() for p in text.split(";")]
@@ -149,8 +155,7 @@ def parse_manifest(text: str) -> Manifest:
                 dimension = int(line)
             except ValueError:
                 raise ManifestError(f"dimension must be an integer, got {line!r}", lineno)
-            if dimension < 1:
-                raise ManifestError("dimension must be positive", lineno)
+            _at_line(lineno, _check_dimension, dimension)
         elif section == "volume":
             if volume_line is not None:
                 raise ManifestError("volume weight declared twice", lineno)

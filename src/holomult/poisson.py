@@ -2,14 +2,15 @@
 
 A bivector is a grade-2 `Multivector`: it stores only its strictly
 upper-triangular components, and the lower triangle is implied by
-antisymmetry.  The class attribute `field` is the class of its Hamiltonian
-and modular fields and `field.ring` the ring of its components, so the
-realified subclass runs the same code.  The fields and the bracket are
-calculus operations: the Hamiltonian field of f is the contraction of df
-into P, the modular field is the divergence of P against the volume form,
-and {f, g} is the pairing of df ^ dg with P.  The Jacobiator is half the
-Schouten bracket, a grade-3 multivector over the same ring built with
-`wedge`:
+antisymmetry: `entry(i, j)` is the container's `component`, which reads
+P^{ji} = -P^{ij} with the sign of `calculus._contract`.  The class attribute
+`field` is the class of its Hamiltonian and modular fields and `field.ring`
+the ring of its components, so the realified subclass runs the same code.
+The fields and the bracket are calculus operations: the Hamiltonian field
+of f is the contraction of df into P, the modular field is the divergence of
+P against the volume form, and {f, g} is the pairing of df ^ dg with P.  The
+Jacobiator is half the Schouten bracket, a grade-3 multivector over the same
+ring built with `wedge`:
 
     1/2 [P, P] = sum_l X_{z^l} ^ dP/dz^l
 
@@ -42,6 +43,8 @@ from .poly import CPoly
 
 
 class Bivector(Multivector):
+    """Grade-2 multivector over `field.ring`; `entry` is `component`."""
+
     __slots__ = ()
     field = VectorField
 
@@ -50,11 +53,7 @@ class Bivector(Multivector):
             raise ValueError("bivectors need dimension >= 2")
         super().__init__(n, 2, comps, self.field.ring)
 
-    def entry(self, i: int, j: int) -> CPoly:
-        """Signed component P^{ij} for any index pair."""
-        if i == j:
-            return self.ring.zero(self.n)
-        return self.component(i, j) if i < j else -self.component(j, i)
+    entry = Multivector.component
 
 
 # the Jacobi defect of a bivector is a grade-3 multivector

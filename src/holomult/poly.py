@@ -447,17 +447,26 @@ class CPoly(_BasePoly):
         re, im = self._re, self._im
         out_re: Part = {}
         out_im: Part = {}
+        zeros = (0,) * n
         for mono in self._keys():
             r, s = re.get(mono, 0), im.get(mono, 0)
-            # (x exps, y exps, binomial product, power of i)
+            # (x exps, y exps, binomial product, power of i) up to the last
+            # nonzero exponent; only nonzero exponents expand, each zero run
+            # between them is one slice of `zeros`
             expanded = [((), (), 1, 0)]
-            for e in mono:
-                expanded = [(xs + (e - j,), ys + (j,), c * comb(e, j), q + j)
-                            for xs, ys, c, q in expanded for j in range(e + 1)]
+            done = 0
+            for k, e in enumerate(mono):
+                if e:
+                    run = zeros[:k - done]
+                    steps = [(run + (e - j,), run + (j,), comb(e, j), j) for j in range(e + 1)]
+                    expanded = [(xs + dx, ys + dy, c * b, q + j)
+                                for xs, ys, c, q in expanded for dx, dy, b, j in steps]
+                    done = k + 1
+            tail = zeros[:n - done]
             for xs, ys, c, q in expanded:
                 # i^q (r + i s): multiplying by i sends (r, s) to (-s, r)
                 a, b = ((r, s), (-s, r), (-r, -s), (s, -r))[q & 3]
-                m = xs + ys
+                m = xs + tail + ys + tail
                 if a:
                     out_re[m] = c * a
                 if b:
