@@ -9,7 +9,9 @@ multivector whose class fixes its ring (CPoly for `VectorField`, RPoly for
 `RealVectorField`) and which also reads as a list of `components` in
 coordinate order; a bivector (`poisson.Bivector`) is a grade-2 multivector
 and a Jacobiator a grade-3 one.  Grade-0 objects are plain polynomial
-scalars: operations that land in grade 0 return the scalar directly.
+scalars.  Every result is one signed sum per index set, gathered as
+((sign, index set), product) terms and added once by the kernel's `_sum`
+in `_collect`, the one place that handles grade 0 (the scalar at ()).
 Every operation builds its result in the ring of its operands, so apply,
 divergence, Lie bracket, wedge, interior product, pairing, flat, sharp and
 curl run on the real side as they do on the complex one.  `divergence`
@@ -23,10 +25,11 @@ index.  Under the determinant duality pairing (pairing of matching
 increasing basis sets is +1) this convention satisfies
 <i_A phi, B> == <phi, A wedge B>, which is what the property tests pin down.
 `_contract` is the one sign rule: wedge and exterior derivative take the
-sign of a merged index set from it, sharp is the contraction into the top
-multivector, and `component` reads an index set in any order with its
-sign.  Only `divergence` counts its own parity, as an independent route to
-the curl.  A result above grade n is empty and keeps its true grade.
+sign of a merged index set from it, flat and sharp move each component to
+the complement of its index set with its sign and apply one scale, and
+`component` reads an index set in any order with its sign.  Only
+`divergence` counts its own parity, as an independent route to the curl.
+A result above grade n is empty and keeps its true grade.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ def _check_index_set(indices: IndexSet, grade: int, n: int):
         raise ValueError(f"index set {indices} does not have grade {grade}")
     if min(indices) < 1 or max(indices) > n:
         raise ValueError(f"index set {indices} out of range 1..{n}")
-    if grade > 1 and any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"index set {indices} is not strictly increasing")
 
 
 def _merge_indices(left: IndexSet, right: IndexSet):
@@ -81,13 +82,27 @@ def _check_rings(a: "_Graded", b: "_Graded") -> None:
         raise TypeError(f"ring mismatch: {a.ring.__name__} vs {b.ring.__name__}")
 
 
-def _accumulate(out: Dict[IndexSet, CPoly], key: IndexSet, value: CPoly) -> None:
-    """Add value to out[key], dropping the key when the sum is zero."""
-    total = out[key] + value if key in out else value
-    if total:
-        out[key] = total
-    else:
-        out.pop(key, None)
+def _collect(kind, n: int, grade: int, ring, terms):
+    """The object of `kind` whose component at each index set is the signed sum
+    of its ((sign, index set), poly) terms, added once by `ring._sum`; grade 0
+    and below give the scalar at ().  The signed index sets come from
+    `_merge_indices` or `_contract` on checked operands, so they are not
+    checked again; zero polynomials are skipped.
+    """
+    groups: Dict[IndexSet, list] = {}
+    for (sign, key), poly in terms:
+        if poly:
+            groups.setdefault(key, []).append((sign, poly))
+    if grade < 1:
+        return ring._sum(n, groups.get((), ()))
+    return _wrap(kind, n, grade, ring, {key: ring._sum(n, group) for key, group in groups.items()})
+
+
+def _wrap(kind, n: int, grade: int, ring, comps):
+    """An object of `kind` holding the nonzero comps, components of checked operands."""
+    out = object.__new__(kind)
+    out.n, out.grade, out._ring, out.comps = n, grade, ring, {k: v for k, v in comps.items() if v}
+    return out
 
 
 class _Graded:
@@ -112,6 +127,8 @@ class _Graded:
         for indices, poly in (comps or {}).items():
             indices = tuple(indices)
             _check_index_set(indices, grade, n)
+            if any(a >= b for a, b in zip(indices, indices[1:])):
+                raise ValueError(f"index set {indices} is not strictly increasing")
             if not isinstance(poly, ring):
                 raise TypeError(f"ring mismatch: {type(self).__name__} components must be {ring.__name__}")
             if poly.nvars != n:
@@ -125,14 +142,8 @@ class _Graded:
         return self._ring
 
     def _like(self, comps: Dict[IndexSet, CPoly]):
-        """An object of this class, dimension, grade and ring with other components.
-
-        The components come from checked operands, so only zeros are dropped.
-        """
-        out = object.__new__(type(self))
-        out.n, out.grade, out._ring = self.n, self.grade, self._ring
-        out.comps = {k: v for k, v in comps.items() if v}
-        return out
+        """This class, dimension, grade and ring with other components, zeros dropped."""
+        return _wrap(type(self), self.n, self.grade, self._ring, comps)
 
     def _space(self):
         return self.n, self.grade, self.ring
@@ -141,7 +152,9 @@ class _Graded:
         """The component at an index set, given as one tuple or as separate indices.
 
         Any order reads the stored component, negated when `_contract` finds
-        the order odd; a repeated index or an absent set reads as zero.
+        the order odd; a repeated index or an absent set reads as zero.  A
+        wrong grade or range raises the constructor's `ValueError` (above
+        grade n, where nothing is stored, the range is 1..grade).
         """
         if len(indices) == 1 and not isinstance(indices[0], int):
             indices = indices[0]
@@ -152,6 +165,7 @@ class _Graded:
         ordered = tuple(sorted(indices))
         comp = self.comps.get(ordered)
         if comp is None:
+            _check_index_set(indices, self.grade, max(self.n, self.grade))
             return self.ring.zero(self.n)
         return comp if _contract(indices, ordered)[0] > 0 else -comp
 
@@ -169,25 +183,27 @@ class _Graded:
     def __hash__(self):
         return hash((type(self).__name__, self.n, self.grade, frozenset(self.comps.items())))
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if type(other) is not type(self) or other._space() != self._space():
             raise ValueError("can only add matching graded objects")
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            _accumulate(out, k, v)
-        return self._like(out)
+        terms = [((1, k), v) for k, v in self.comps.items()]
+        terms += [((sign, k), v) for k, v in other.comps.items()]
+        return _collect(type(self), self.n, self.grade, self._ring, terms)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.comps.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, poly_or_scalar):
-        factor = poly_or_scalar
-        if not isinstance(factor, _BasePoly):
-            factor = self.ring.const(self.n, factor)
-        return self._like({k: v * factor for k, v in self.comps.items()})
+        if isinstance(poly_or_scalar, _BasePoly):
+            return self._like({k: v * poly_or_scalar for k, v in self.comps.items()})
+        factor = self.ring._coerce(poly_or_scalar)  # refused by the ring even with no component
+        return self._like({k: v.scale(factor) for k, v in self.comps.items()})
 
     def __repr__(self):
         body = ", ".join(f"{k}: {v.format()}" for k, v in sorted(self.comps.items()))
@@ -203,8 +219,8 @@ class Multivector(_Graded):
         """The vector field of a grade-1 multivector, of the field class of its ring."""
         if self.grade != 1:
             raise ValueError("only grade-1 multivectors convert to vector fields")
-        field = _FIELD_OF_RING[self.ring]
-        return field(self.n, [self.component((i,)) for i in range(1, self.n + 1)])
+        field, zero = _FIELD_OF_RING[self.ring], self.ring.zero(self.n)
+        return field(self.n, [self.comps.get((i,), zero) for i in range(1, self.n + 1)])
 
 
 class Form(_Graded):
@@ -259,7 +275,7 @@ _FIELD_OF_RING = {CPoly: VectorField, RPoly: RealVectorField}
 class VolumeForm:
     """Constant-weight top form: weight * dz1 ^ ... ^ dzn with weight != 0."""
 
-    __slots__ = ("n", "weight")
+    __slots__ = ("n", "weight", "_inverse")
 
     def __init__(self, n: int, weight=1):
         weight = GaussianRational.coerce(weight)
@@ -267,6 +283,7 @@ class VolumeForm:
             raise ValueError("volume form weight must be nonzero")
         self.n = n
         self.weight = weight
+        self._inverse = GaussianRational(1) / weight
 
     def __repr__(self):
         return f"VolumeForm(n={self.n}, weight={self.weight})"
@@ -281,11 +298,7 @@ def apply_field(field: VectorField, f: CPoly) -> CPoly:
     """Derivative of f along the field: sum of Z^i * df/dz^i."""
     if f.nvars != field.n:
         raise ValueError("dimension mismatch between field and function")
-    out = field.ring.zero(field.n)
-    for i, comp in enumerate(field.components, start=1):
-        if comp:
-            out = out + comp * f.diff(i)
-    return out
+    return field.ring._sum(field.n, [(1, comp * f.diff(i)) for (i,), comp in field.comps.items()])
 
 
 def lie_bracket(z: VectorField, w: VectorField) -> VectorField:
@@ -304,17 +317,11 @@ def divergence(a: Multivector, omega: VolumeForm):
     """
     if a.n != omega.n:
         raise ValueError("dimension mismatch between field and volume form")
-    out: Dict[IndexSet, CPoly] = {}  # grade 0 lands under the key ()
     last = a.grade - 1
-    for key, comp in a.comps.items():
-        for pos, l in enumerate(key):
-            d = comp.diff(l)
-            if d:
-                # the last - pos indices after l in key are those of K above l
-                _accumulate(out, key[:pos] + key[pos + 1:], -d if (last - pos) % 2 else d)
-    if a.grade == 1:
-        return out.get((), a.ring.zero(a.n))
-    return Multivector(a.n, a.grade - 1, out, a.ring)
+    # the last - pos indices after l in key are those of K above l
+    terms = [((-1 if (last - pos) % 2 else 1, key[:pos] + key[pos + 1:]), comp.diff(l))
+             for key, comp in a.comps.items() for pos, l in enumerate(key)]
+    return _collect(Multivector, a.n, last, a.ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -336,34 +343,19 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
     if not isinstance(b, kind) or a.n != b.n:
         raise ValueError("wedge needs matching object kinds and dimensions")
     _check_rings(a, b)
-    out: Dict[IndexSet, CPoly] = {}
-    for ka, va in a.comps.items():
-        for kb, vb in b.comps.items():
-            merged = _merge_indices(ka, kb)
-            if merged is None:
-                continue
-            sign, key = merged
-            _accumulate(out, key, va * vb if sign > 0 else -(va * vb))
-    return kind(a.n, a.grade + b.grade, out, a.ring)
+    terms = [(merged, va * vb) for ka, va in a.comps.items() for kb, vb in b.comps.items()
+             if (merged := _merge_indices(ka, kb))]
+    return _collect(kind, a.n, a.grade + b.grade, a.ring, terms)
 
 
 def partial_d(phi: GradedOrScalar) -> Form:
     """Holomorphic exterior derivative of a form (a polynomial counts as a 0-form)."""
     if isinstance(phi, _BasePoly):
-        nv = phi.nvars
-        return Form(nv, 1, {(i,): phi.diff(i) for i in range(1, nv + 1)}, type(phi))
-    out: Dict[IndexSet, CPoly] = {}
-    for key, poly in phi.comps.items():
-        for i in range(1, phi.n + 1):
-            # an index already in key gives zero: skip it before differentiating
-            merged = _merge_indices((i,), key)
-            if merged is None:
-                continue
-            d = poly.diff(i)
-            if d:
-                sign, newkey = merged
-                _accumulate(out, newkey, d if sign > 0 else -d)
-    return Form(phi.n, phi.grade + 1, out, phi.ring)
+        return Form(phi.nvars, 1, {(i,): phi.diff(i) for i in range(1, phi.nvars + 1)}, type(phi))
+    # an index already in key gives zero: skip it before differentiating
+    terms = [(merged, poly.diff(i)) for key, poly in phi.comps.items()
+             for i in range(1, phi.n + 1) if (merged := _merge_indices((i,), key))]
+    return _collect(Form, phi.n, phi.grade + 1, phi.ring, terms)
 
 
 def interior_product(a, phi):
@@ -374,9 +366,7 @@ def interior_product(a, phi):
     zero scalar of the ring below grade 0.
     """
     if isinstance(a, _BasePoly):
-        if isinstance(phi, _BasePoly):
-            return a * phi
-        return phi.scale(a)
+        return a * phi if isinstance(phi, _BasePoly) else phi.scale(a)
     if isinstance(phi, _BasePoly):
         return a.ring.zero(a.n)
     if a.n != phi.n:
@@ -384,20 +374,10 @@ def interior_product(a, phi):
     if isinstance(a, Form) == isinstance(phi, Form):
         raise ValueError("interior product needs one multivector and one form")
     _check_rings(a, phi)
-    if a.grade > phi.grade:
-        return phi.ring.zero(a.n)
-    result_grade = phi.grade - a.grade
-    out: Dict[IndexSet, CPoly] = {}  # grade 0 lands under the key ()
-    for ka, va in a.comps.items():
-        for kf, vf in phi.comps.items():
-            contracted = _contract(ka, kf)
-            if contracted is not None:
-                sign, rest = contracted
-                _accumulate(out, rest, va * vf if sign > 0 else -(va * vf))
-    if result_grade == 0:
-        return out.get((), phi.ring.zero(a.n))
+    terms = [(contracted, va * vf) for ka, va in a.comps.items() for kf, vf in phi.comps.items()
+             if (contracted := _contract(ka, kf))]
     kind = Form if isinstance(phi, Form) else Multivector
-    return kind(a.n, result_grade, out, phi.ring)
+    return _collect(kind, a.n, phi.grade - a.grade, phi.ring, terms)
 
 
 def pairing(phi: Form, a) -> CPoly:
@@ -412,12 +392,7 @@ def pairing(phi: Form, a) -> CPoly:
     if phi.grade != a.grade or phi.n != a.n:
         raise ValueError("pairing needs equal grades and dimensions")
     _check_rings(phi, a)
-    out = phi.ring.zero(phi.n)
-    for key, poly in phi.comps.items():
-        other = a.comps.get(key)
-        if other is not None:
-            out = out + poly * other
-    return out
+    return phi.ring._sum(phi.n, [(1, v * a.comps[k]) for k, v in phi.comps.items() if k in a.comps])
 
 
 # ---------------------------------------------------------------------------
@@ -425,38 +400,44 @@ def pairing(phi: Form, a) -> CPoly:
 # ---------------------------------------------------------------------------
 
 
+def _dual(obj, kind, n: int, factor):
+    """The `kind` object with each component of obj at the complement of its
+    index set in (1..n), signed by `_contract` taking the set out, times factor.
+
+    A polynomial is the grade-0 component at ().
+    """
+    if isinstance(obj, _BasePoly):
+        comps, dim, grade, ring = {(): obj}, obj.nvars, 0, type(obj)
+    elif isinstance(obj, kind):
+        raise ValueError("flat lowers a multivector and sharp raises a form")
+    else:
+        comps, dim, grade, ring = obj.comps, obj.n, obj.grade, obj.ring
+    if dim != n:
+        raise ValueError("dimension mismatch with volume form")
+    full = tuple(range(1, n + 1))
+    terms = [(_contract(key, full), poly) for key, poly in comps.items()]
+    return _collect(kind, n, n - grade, ring, terms).scale(factor)
+
+
 def flat(a, omega: VolumeForm):
     """Lower a multivector to a form by contracting into the volume form.
 
-    The volume form is built in the ring of `a`.
+    Each component moves to the complement of its index set with
+    `_contract`'s sign and is scaled by the weight, in the ring of `a`.
     """
-    n = omega.n
-    ring = type(a) if isinstance(a, _BasePoly) else a.ring
-    top = Form(n, n, {tuple(range(1, n + 1)): ring.const(n, omega.weight)}, ring)
-    if isinstance(a, _BasePoly):
-        return top.scale(a)
-    if a.n != n:
-        raise ValueError("dimension mismatch with volume form")
-    return interior_product(a, top)
+    return _dual(a, Form, omega.n, omega.weight)
 
 
 def sharp(phi, omega: VolumeForm):
     """Inverse of flat: raise an (n-p)-form to a p-multivector in the ring of phi.
 
-    The mirror of flat: phi is contracted into the top multivector of weight
-    1/weight, and the result negated when p(n - p) is odd.
+    The mirror of flat: each component moves back to the complement of its
+    index set with `_contract`'s sign and is scaled by 1/weight, negated
+    when p(n - p) is odd.
     """
     n = omega.n
-    ring = type(phi) if isinstance(phi, _BasePoly) else phi.ring
-    inv_weight = ring.const(n, GaussianRational(1) / omega.weight)
-    top = Multivector(n, n, {tuple(range(1, n + 1)): inv_weight}, ring)
-    if isinstance(phi, _BasePoly):
-        return top.scale(phi)
-    if phi.n != n:
-        raise ValueError("dimension mismatch with volume form")
-    raised = interior_product(phi, top)
-    p = n - phi.grade
-    return -raised if p * (n - p) % 2 else raised
+    p = n - (0 if isinstance(phi, _BasePoly) else phi.grade)
+    return _dual(phi, Multivector, n, -omega._inverse if p * (n - p) % 2 else omega._inverse)
 
 
 def curl(a, omega: VolumeForm):
@@ -467,8 +448,7 @@ def curl(a, omega: VolumeForm):
     """
     if isinstance(a, _BasePoly):
         raise ValueError("curl needs grade >= 1")
-    lowered = flat(a, omega)
-    return sharp(partial_d(lowered), omega)
+    return sharp(partial_d(flat(a, omega)), omega)
 
 
 # ---------------------------------------------------------------------------

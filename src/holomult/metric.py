@@ -62,13 +62,11 @@ class HoloMetric:
         """g(V, W) as a polynomial."""
         if v.n != self.n or w.n != self.n:
             raise ValueError("dimension mismatch with metric")
-        vc, wc = v.components, w.components
-        out = CPoly.zero(self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.g[i][j]:
-                    out = out + (vc[i] * wc[j]).scale(self.g[i][j])
-        return out
+        if v.ring is not CPoly or w.ring is not CPoly:
+            raise TypeError("ring mismatch: the metric pairs CPoly fields")
+        vc, wc, g = v.components, w.components, self.g
+        return CPoly._sum(self.n, [(1, (vc[i] * wc[j]).scale(g[i][j]))
+                                   for i in range(self.n) for j in range(self.n) if g[i][j]])
 
     def __repr__(self):
         return f"HoloMetric(n={self.n}, det_sqrt={self.vol_factor})"
@@ -80,14 +78,10 @@ def _raise_index(f, inverse, field_class):
     if f.nvars != n:
         raise ValueError("dimension mismatch with metric")
     partials = [f.diff(i) for i in range(1, n + 1)]
-    comps = []
-    for j in range(n):
-        acc = field_class.ring.zero(n)
-        for i in range(n):
-            if inverse[i][j]:
-                acc = acc + partials[i].scale(inverse[i][j])
-        comps.append(acc)
-    return field_class(n, comps)
+    # summed in the ring of f: the field class's constructor checks it
+    return field_class(n, [type(f)._sum(n, [(1, partials[i].scale(inverse[i][j]))
+                                            for i in range(n) if inverse[i][j]])
+                           for j in range(n)])
 
 
 def gradient(f: CPoly, metric: HoloMetric) -> VectorField:

@@ -141,10 +141,8 @@ def darboux_multiplier_search(
     solution = solve_linear(matrix, rhs)
     if not solution.is_consistent:
         return None
-    combo = CPoly.zero(field.n)
-    for m_k, pair in zip(solution.particular, pairs):
-        combo = combo + pair.cofactor.scale(m_k)
-    if combo + div:
+    identity = [(1, pair.cofactor.scale(m_k)) for m_k, pair in zip(solution.particular, pairs)]
+    if field.ring._sum(field.n, identity + [(1, div)]):
         raise AssertionError("solved exponents fail the cofactor identity")
     return ExponentSolution(
         exponents=list(solution.particular),

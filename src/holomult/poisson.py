@@ -28,6 +28,7 @@ from .calculus import (
     Multivector,
     VectorField,
     VolumeForm,
+    _collect,
     apply_field,
     curl,
     divergence,
@@ -71,17 +72,16 @@ def jacobiator(p: Bivector) -> Multivector:
     """Half the Schouten bracket, sum_l X_{z^l} ^ dP/dz^l; zero exactly for Poisson.
 
     Component (i, j, k) is the cyclic sum {P^{ij}, z^k} + {P^{jk}, z^i} +
-    {P^{ki}, z^j}.  Below dimension 3 the result is the empty grade-3
-    multivector.
+    {P^{ki}, z^j}, each index set added once over the n wedges; below
+    dimension 3 every wedge, and so the result, is the empty grade-3 one.
     """
     n, ring = p.n, p.ring
-    out = Multivector(n, 3, {}, ring)
-    if n < 3:
-        return out
+    terms = []
     for l in range(1, n + 1):
         d_l = Multivector(n, 2, {key: entry.diff(l) for key, entry in p.comps.items()}, ring)
-        out = out + wedge(hamiltonian_field(ring.var(n, l), p), d_l)
-    return out
+        wedged = wedge(hamiltonian_field(ring.var(n, l), p), d_l)
+        terms += [((1, key), comp) for key, comp in wedged.comps.items()]
+    return _collect(Multivector, n, 3, ring, terms)
 
 
 def is_poisson(p: Bivector) -> bool:

@@ -22,11 +22,12 @@ every numerator is 1, no dict holds a zero, and the zero polynomial is
 ({}, {}, 1).  Equal polynomials therefore have identical storage, so `==`
 and `hash` compare it structurally (a CPoly with real coefficients equals
 the RPoly with the same terms, as it always has).  The dicts are never
-mutated once a polynomial holds them, so results may share them.  Sums,
-products, scaling, partials, conjugation, division, the realification
-split and `poly_summary` work on the integers alone and build no
-`Fraction` or `GaussianRational`; each result is reduced once by the gcd
-with its denominator and wrapped by the private `_trusted` constructor.
+mutated once a polynomial holds them, so results may share them.  Sums
+(`+`, `-` and the private `_sum` of many signed operands), products,
+scaling, partials, conjugation, division, the realification split and
+`poly_summary` work on the integers alone and build no `Fraction` or
+`GaussianRational`; each result is reduced once by the gcd with its
+denominator and wrapped by the private `_trusted` constructor.
 
 `terms` is a view, built once per polynomial on first read and cached:
 {monomial: coefficient} with `GaussianRational` values with `Fraction`
@@ -65,6 +66,18 @@ def _grlex_key(mono: Monomial):
     return (sum(mono), mono)
 
 
+def _add_into(out: Part, part: Part, k: int) -> Part:
+    """Add k * part (k != 0) into out, deleting the entries that cancel; return out."""
+    get = out.get
+    for m, v in part.items():
+        acc = get(m, 0) + v * k
+        if acc:
+            out[m] = acc
+        else:
+            del out[m]
+    return out
+
+
 def _combine(p: Part, a: int, q: Part, b: int) -> Part:
     """a*p + b*q without zero entries; p itself when b*q is empty and a == 1."""
     if not b or not q:
@@ -73,19 +86,7 @@ def _combine(p: Part, a: int, q: Part, b: int) -> Part:
         return p if a == 1 else {m: v * a for m, v in p.items()}
     if not a or not p:
         return q if b == 1 else {m: v * b for m, v in q.items()}
-    out = dict(p) if a == 1 else {m: v * a for m, v in p.items()}
-    get = out.get
-    for m, v in q.items():
-        acc = get(m)
-        if acc is None:
-            out[m] = v * b
-        else:
-            acc += v * b
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]
-    return out
+    return _add_into(dict(p) if a == 1 else {m: v * a for m, v in p.items()}, q, b)
 
 
 def _convolve(out: Part, p: Part, q: Part, sign: int):
@@ -162,6 +163,23 @@ class _BasePoly:
                 re = {m: v // g for m, v in re.items()}
                 im = {m: v // g for m, v in im.items()}
         return cls._trusted(nvars, re, im, den)
+
+    @classmethod
+    def _sum(cls, nvars: int, signed):
+        """Sum of sign * p over (sign, p) pairs, signs +1 or -1 and each p of this
+        ring in `nvars` variables, added over the least common denominator and
+        reduced once; zeros are dropped and one operand comes back as +-itself."""
+        signed = [(s, p) for s, p in signed if p._re or p._im]
+        if len(signed) == 1:
+            s, p = signed[0]
+            return p if s > 0 else -p
+        den = lcm(*[p._den for _, p in signed])  # 1 for no operand: the zero
+        re, im = {}, {}
+        for s, p in signed:
+            k = s * (den // p._den)
+            _add_into(re, p._re, k)
+            _add_into(im, p._im, k)
+        return cls._reduced(nvars, re, im, den)
 
     @property
     def terms(self) -> Dict[Monomial, object]:
@@ -392,20 +410,9 @@ class _BasePoly:
             qr, qi = (r * dr + s * di) * dden, (s * dr - r * di) * dden
             piece = self._reduced(nvars, {diff: qr} if qr else {}, {diff: qi} if qi else {},
                                   queue._den * norm)
-            pieces.append(piece)
+            pieces.append((1, piece))
             queue = queue - piece * divisor
-        # the leading monomial falls at every step, so the pieces' monomials
-        # are distinct; over their least common denominator no factor is
-        # shared by all numerators
-        den = lcm(*(p._den for p in pieces))
-        re, im = {}, {}
-        for p in pieces:
-            k = den // p._den
-            for m, v in p._re.items():
-                re[m] = v * k
-            for m, v in p._im.items():
-                im[m] = v * k
-        return self._trusted(nvars, re, im, den)
+        return self._sum(nvars, pieces)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.nvars}, {self.format()!r})"

@@ -23,7 +23,6 @@ from holomult.calculus import (
     IndexSet,
     Multivector,
     VolumeForm,
-    _accumulate,
     _contract,
     curl,
     flat,
@@ -41,6 +40,15 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 # -- the reference: the earlier sign bookkeeping, verbatim ---------------------
+
+
+def _accumulate(out: Dict[IndexSet, CPoly], key: IndexSet, value: CPoly) -> None:
+    """Add value to out[key], dropping the key when the sum is zero."""
+    total = out[key] + value if key in out else value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
 
 
 def _merge_indices(left: IndexSet, right: IndexSet):
