@@ -10,8 +10,11 @@ multivector whose class fixes its ring (CPoly for `VectorField`, RPoly for
 coordinate order; a bivector (`poisson.Bivector`) is a grade-2 multivector
 and a Jacobiator a grade-3 one.  Grade-0 objects are plain polynomial
 scalars.  Every result is one signed sum per index set, gathered as
-((sign, index set), product) terms and added once by the kernel's `_sum`
-in `_collect`, the one place that handles grade 0 (the scalar at ()).
+((sign, index set), factor) or ((sign, index set), factor, factor) terms
+and added once by the kernel's `_sum` in `_collect`, the one place that
+handles grade 0 (the scalar at ()).  A two-factor term is a product that
+the kernel convolves straight into its index set's sum, so no result builds
+a product polynomial of its own.
 Every operation builds its result in the ring of its operands, so apply,
 divergence, Lie bracket, wedge, interior product, pairing, flat, sharp and
 curl run on the real side as they do on the complex one.  `divergence`
@@ -84,15 +87,15 @@ def _check_rings(a: "_Graded", b: "_Graded") -> None:
 
 def _collect(kind, n: int, grade: int, ring, terms):
     """The object of `kind` whose component at each index set is the signed sum
-    of its ((sign, index set), poly) terms, added once by `ring._sum`; grade 0
-    and below give the scalar at ().  The signed index sets come from
-    `_merge_indices` or `_contract` on checked operands, so they are not
-    checked again; zero polynomials are skipped.
+    of its ((sign, index set), poly) and ((sign, index set), poly, poly) terms,
+    added once by `ring._sum` (which convolves each product into the sum and
+    skips zero factors); grade 0 and below give the scalar at ().  The signed
+    index sets come from `_merge_indices` or `_contract` on checked operands,
+    so they are not checked again.
     """
     groups: Dict[IndexSet, list] = {}
-    for (sign, key), poly in terms:
-        if poly:
-            groups.setdefault(key, []).append((sign, poly))
+    for (sign, key), *factors in terms:
+        groups.setdefault(key, []).append((sign, *factors))
     if grade < 1:
         return ring._sum(n, groups.get((), ()))
     return _wrap(kind, n, grade, ring, {key: ring._sum(n, group) for key, group in groups.items()})
@@ -298,7 +301,7 @@ def apply_field(field: VectorField, f: CPoly) -> CPoly:
     """Derivative of f along the field: sum of Z^i * df/dz^i."""
     if f.nvars != field.n:
         raise ValueError("dimension mismatch between field and function")
-    return field.ring._sum(field.n, [(1, comp * f.diff(i)) for (i,), comp in field.comps.items()])
+    return field.ring._sum(field.n, [(1, comp, f.diff(i)) for (i,), comp in field.comps.items()])
 
 
 def lie_bracket(z: VectorField, w: VectorField) -> VectorField:
@@ -343,7 +346,7 @@ def wedge(a: GradedOrScalar, b: GradedOrScalar):
     if not isinstance(b, kind) or a.n != b.n:
         raise ValueError("wedge needs matching object kinds and dimensions")
     _check_rings(a, b)
-    terms = [(merged, va * vb) for ka, va in a.comps.items() for kb, vb in b.comps.items()
+    terms = [(merged, va, vb) for ka, va in a.comps.items() for kb, vb in b.comps.items()
              if (merged := _merge_indices(ka, kb))]
     return _collect(kind, a.n, a.grade + b.grade, a.ring, terms)
 
@@ -374,7 +377,7 @@ def interior_product(a, phi):
     if isinstance(a, Form) == isinstance(phi, Form):
         raise ValueError("interior product needs one multivector and one form")
     _check_rings(a, phi)
-    terms = [(contracted, va * vf) for ka, va in a.comps.items() for kf, vf in phi.comps.items()
+    terms = [(contracted, va, vf) for ka, va in a.comps.items() for kf, vf in phi.comps.items()
              if (contracted := _contract(ka, kf))]
     kind = Form if isinstance(phi, Form) else Multivector
     return _collect(kind, a.n, phi.grade - a.grade, phi.ring, terms)
@@ -392,7 +395,7 @@ def pairing(phi: Form, a) -> CPoly:
     if phi.grade != a.grade or phi.n != a.n:
         raise ValueError("pairing needs equal grades and dimensions")
     _check_rings(phi, a)
-    return phi.ring._sum(phi.n, [(1, v * a.comps[k]) for k, v in phi.comps.items() if k in a.comps])
+    return phi.ring._sum(phi.n, [(1, v, a.comps[k]) for k, v in phi.comps.items() if k in a.comps])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ ring built with `wedge`:
 where X_{z^l} is the Hamiltonian field of the coordinate z^l and dP/dz^l the
 bivector of the partials of the components.  Nothing here assumes the
 bivector is Poisson -- the Jacobi test is itself an operation.
+
+A `Bivector` computes its Jacobiator and its modular field once, in its
+private `_memo` slot.  That is safe because values are immutable and the
+volume weight cancels in the divergence (the dimension is still checked on
+every call).  Derived bivectors (`-p`, `p.scale(alpha)`, `p + q`) are new
+objects, a plain grade-2 `Multivector` is never memoized, and every
+cross-checked route is still computed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .calculus import (
     VectorField,
     VolumeForm,
     _collect,
+    _wrap,
     apply_field,
     curl,
     divergence,
@@ -46,7 +54,8 @@ from .poly import CPoly
 class Bivector(Multivector):
     """Grade-2 multivector over `field.ring`; `entry` is `component`."""
 
-    __slots__ = ()
+    # results computed once per object, unset until the first one
+    __slots__ = ("_memo",)
     field = VectorField
 
     def __init__(self, n: int, comps: Dict[Tuple[int, int], CPoly] | None = None):
@@ -68,17 +77,35 @@ def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
     return pairing(wedge(partial_d(f), partial_d(g)), p)
 
 
+def _memoized(p, name: str, compute):
+    """compute(), stored under name on a Bivector and read back on later calls."""
+    if not isinstance(p, Bivector):
+        return compute()
+    memo = getattr(p, "_memo", None)
+    if memo is None:  # also unset on objects built by calculus._wrap
+        memo = p._memo = {}
+    if name not in memo:
+        memo[name] = compute()
+    return memo[name]
+
+
 def jacobiator(p: Bivector) -> Multivector:
     """Half the Schouten bracket, sum_l X_{z^l} ^ dP/dz^l; zero exactly for Poisson.
 
     Component (i, j, k) is the cyclic sum {P^{ij}, z^k} + {P^{jk}, z^i} +
     {P^{ki}, z^j}, each index set added once over the n wedges; below
     dimension 3 every wedge, and so the result, is the empty grade-3 one.
+    Computed once per `Bivector`.
     """
+    return _memoized(p, "jacobiator", lambda: _schouten_half(p))
+
+
+def _schouten_half(p: Bivector) -> Multivector:
     n, ring = p.n, p.ring
     terms = []
     for l in range(1, n + 1):
-        d_l = Multivector(n, 2, {key: entry.diff(l) for key, entry in p.comps.items()}, ring)
+        # the keys of a checked bivector need no second check
+        d_l = _wrap(Multivector, n, 2, ring, {key: entry.diff(l) for key, entry in p.comps.items()})
         wedged = wedge(hamiltonian_field(ring.var(n, l), p), d_l)
         terms += [((1, key), comp) for key, comp in wedged.comps.items()]
     return _collect(Multivector, n, 3, ring, terms)
@@ -102,11 +129,12 @@ def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:
     """Field measuring volume distortion of Hamiltonian flows: the divergence of P.
 
     Component i is sum_j dP^{ij}/dz^j; the constant volume weight drops out,
-    exactly as it does in the divergence.
+    exactly as it does in the divergence, so a `Bivector` computes it once
+    for every volume form of its dimension.
     """
     if p.n != omega.n:
         raise ValueError("dimension mismatch with volume form")
-    return divergence(p, omega).to_field()
+    return _memoized(p, "modular_field", lambda: divergence(p, omega).to_field())
 
 
 def is_unimodular_with(p: Bivector, h: CPoly, omega: VolumeForm) -> bool:
@@ -205,11 +233,12 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
         raise ValueError("dimension mismatch with bivector")
     if p.n != omega.n:
         raise ValueError("dimension mismatch with volume form")
+    scaled = p.scale(alpha)  # the operand of routes 1 and 2
     # route 1: componentwise divergence of the scaled bivector (not through
     # modular_field, whose first call marks the start of route 3)
-    direct = divergence(p.scale(alpha), omega).to_field()
+    direct = divergence(scaled, omega).to_field()
     # route 2: curl of alpha*P via flat / exterior derivative / sharp
-    via_forms = curl(p.scale(alpha), omega).to_field()
+    via_forms = curl(scaled, omega).to_field()
     if via_forms != direct:
         raise AssertionError("componentwise and form-calculus routes disagree")
     # route 3: cleared modular field of the alpha-weighted volume

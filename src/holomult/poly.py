@@ -23,11 +23,15 @@ every numerator is 1, no dict holds a zero, and the zero polynomial is
 and `hash` compare it structurally (a CPoly with real coefficients equals
 the RPoly with the same terms, as it always has).  The dicts are never
 mutated once a polynomial holds them, so results may share them.  Sums
-(`+`, `-` and the private `_sum` of many signed operands), products,
-scaling, partials, conjugation, division, the realification split and
-`poly_summary` work on the integers alone and build no `Fraction` or
-`GaussianRational`; each result is reduced once by the gcd with its
-denominator and wrapped by the private `_trusted` constructor.
+(`+`, `-` and the private `_sum`), products, scaling, partials,
+conjugation, division, the realification split and `poly_summary` work on
+the integers alone and build no `Fraction` or `GaussianRational`; each
+result is reduced once by the gcd with its denominator and wrapped by the
+private `_trusted` constructor.  Every product passes through one routine,
+`_mul_into`, which adds k * a * b into a pair of numerator dicts: `*` calls
+it on empty dicts, and `_sum` takes (sign, p) items beside (sign, p, q)
+items and convolves each product straight into the one signed sum, so a
+sum of products builds no product polynomial and is reduced once.
 
 `terms` is a view, built once per polynomial on first read and cached:
 {monomial: coefficient} with `GaussianRational` values with `Fraction`
@@ -89,16 +93,30 @@ def _combine(p: Part, a: int, q: Part, b: int) -> Part:
     return _add_into(dict(p) if a == 1 else {m: v * a for m, v in p.items()}, q, b)
 
 
-def _convolve(out: Part, p: Part, q: Part, sign: int):
-    """Add sign * p * q into out (zeros included)."""
+def _convolve(out: Part, p: Part, q: Part, k: int):
+    """Add k * p * q into out (zeros included)."""
     get = out.get
     right = q.items()
     for m1, c1 in p.items():
-        if sign < 0:
-            c1 = -c1
+        if k != 1:
+            c1 *= k
         for m2, c2 in right:
             mono = tuple(map(add, m1, m2))
             out[mono] = get(mono, 0) + c1 * c2
+
+
+def _mul_into(re: Part, im: Part, a: "_BasePoly", b: "_BasePoly", k: int):
+    """Add k * a * b (k != 0) into the numerator dicts re and im, zeros included:
+    the one product routine, (ar + i ai)(br + i bi) skipping every empty part."""
+    ar, ai, br, bi = a._re, a._im, b._re, b._im
+    if ar and br:
+        _convolve(re, ar, br, k)
+    if ai and bi:
+        _convolve(re, ai, bi, -k)
+    if ar and bi:
+        _convolve(im, ar, bi, k)
+    if ai and br:
+        _convolve(im, ai, br, k)
 
 
 def _nonzero(part: Part) -> Part:
@@ -165,20 +183,55 @@ class _BasePoly:
         return cls._trusted(nvars, re, im, den)
 
     @classmethod
-    def _sum(cls, nvars: int, signed):
-        """Sum of sign * p over (sign, p) pairs, signs +1 or -1 and each p of this
-        ring in `nvars` variables, added over the least common denominator and
-        reduced once; zeros are dropped and one operand comes back as +-itself."""
-        signed = [(s, p) for s, p in signed if p._re or p._im]
-        if len(signed) == 1:
-            s, p = signed[0]
+    def _sum(cls, nvars: int, items):
+        """Sum of sign * p over (sign, p) items and of sign * p * q over (sign, p, q)
+        items, signs +1 or -1 and every factor of this ring in `nvars` variables.
+
+        The items are added over their least common denominator (a product
+        counts at p._den * q._den), starting from a copy of the first plain
+        operand; each product is convolved straight into the sum by
+        `_mul_into` and never built on its own, and the sum is reduced once.
+        Zero operands and products with a zero factor are dropped; one plain
+        operand alone comes back as +-itself.
+        """
+        plain, products, den = [], [], 1  # den 1 for no item: the zero
+        for item in items:
+            if len(item) == 2:
+                p = item[1]
+                if not (p._re or p._im):
+                    continue
+                plain.append(item)
+                d = p._den
+            else:
+                _, a, b = item
+                if not ((a._re or a._im) and (b._re or b._im)):
+                    continue
+                products.append(item)
+                d = a._den * b._den
+            if den % d:
+                den = lcm(den, d)
+        if not products and len(plain) == 1:
+            s, p = plain[0]
             return p if s > 0 else -p
-        den = lcm(*[p._den for _, p in signed])  # 1 for no operand: the zero
-        re, im = {}, {}
-        for s, p in signed:
+        re: Part = {}
+        im: Part = {}
+        if plain:
+            s, p = plain[0]
             k = s * (den // p._den)
-            _add_into(re, p._re, k)
-            _add_into(im, p._im, k)
+            if k == 1:
+                re, im = dict(p._re), dict(p._im)
+            else:
+                re, im = {m: v * k for m, v in p._re.items()}, {m: v * k for m, v in p._im.items()}
+            for s, p in plain[1:]:
+                k = s * (den // p._den)
+                if p._re:
+                    _add_into(re, p._re, k)
+                if p._im:
+                    _add_into(im, p._im, k)
+        if products:
+            for s, a, b in products:
+                _mul_into(re, im, a, b, s * (den // (a._den * b._den)))
+            re, im = _nonzero(re), _nonzero(im)
         return cls._reduced(nvars, re, im, den)
 
     @property
@@ -276,18 +329,9 @@ class _BasePoly:
         if not isinstance(other, _BasePoly):
             return self.scale(other)
         self._check_compatible(other)
-        ar, ai, br, bi = self._re, self._im, other._re, other._im
         re: Part = {}
         im: Part = {}
-        # (ar + i ai)(br + i bi), skipping every empty part
-        if ar and br:
-            _convolve(re, ar, br, 1)
-        if ai and bi:
-            _convolve(re, ai, bi, -1)
-        if ar and bi:
-            _convolve(im, ar, bi, 1)
-        if ai and br:
-            _convolve(im, ai, br, 1)
+        _mul_into(re, im, self, other, 1)
         return self._reduced(self.nvars, _nonzero(re), _nonzero(im), self._den * other._den)
 
     def __rmul__(self, other):
