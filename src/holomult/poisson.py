@@ -10,13 +10,15 @@ The fields and the bracket are calculus operations: the Hamiltonian field
 of f is the contraction of df into P, the modular field is the divergence of
 P against the volume form, and {f, g} is the pairing of df ^ dg with P.  The
 Jacobiator is half the Schouten bracket, a grade-3 multivector over the same
-ring built with `wedge`:
+ring, gathered in one signed sum per index set:
 
     1/2 [P, P] = sum_l X_{z^l} ^ dP/dz^l
 
-where X_{z^l} is the Hamiltonian field of the coordinate z^l and dP/dz^l the
-bivector of the partials of the components.  Nothing here assumes the
-bivector is Poisson -- the Jacobi test is itself an operation.
+where X_{z^l}, the Hamiltonian field of z^l, holds P^{lm} at m with
+`_contract`'s sign, so every term is a stored entry times a partial of an
+entry.  The Jacobiator and the two fields read every key as a pair, so each
+refuses any grade but 2.  Nothing here assumes the bivector is Poisson --
+the Jacobi test is itself an operation.
 
 A `Bivector` computes its Jacobiator and its modular field once, in its
 private `_memo` slot.  That is safe because values are immutable and the
@@ -36,7 +38,8 @@ from .calculus import (
     VectorField,
     VolumeForm,
     _collect,
-    _wrap,
+    _contract,
+    _merge_indices,
     apply_field,
     curl,
     divergence,
@@ -89,26 +92,38 @@ def _memoized(p, name: str, compute):
     return memo[name]
 
 
+def _check_grade(p: Multivector, name: str) -> None:
+    """Refuse a multivector that is not a bivector: its keys would not be pairs."""
+    if p.grade != 2:
+        raise ValueError(f"{name} needs a bivector of grade 2, got grade {p.grade}")
+
+
 def jacobiator(p: Bivector) -> Multivector:
     """Half the Schouten bracket, sum_l X_{z^l} ^ dP/dz^l; zero exactly for Poisson.
 
     Component (i, j, k) is the cyclic sum {P^{ij}, z^k} + {P^{jk}, z^i} +
-    {P^{ki}, z^j}, each index set added once over the n wedges; below
-    dimension 3 every wedge, and so the result, is the empty grade-3 one.
-    Computed once per `Bivector`.
+    {P^{ki}, z^j}, gathered as one signed sum of entry-times-partial terms
+    per index set; below dimension 3 no index set has room, and the result
+    is the empty grade-3 one.  Computed once per `Bivector`.
     """
+    _check_grade(p, "jacobiator")
     return _memoized(p, "jacobiator", lambda: _schouten_half(p))
 
 
 def _schouten_half(p: Bivector) -> Multivector:
-    n, ring = p.n, p.ring
-    terms = []
-    for l in range(1, n + 1):
-        # the keys of a checked bivector need no second check
-        d_l = _wrap(Multivector, n, 2, ring, {key: entry.diff(l) for key, entry in p.comps.items()})
-        wedged = wedge(hamiltonian_field(ring.var(n, l), p), d_l)
-        terms += [((1, key), comp) for key, comp in wedged.comps.items()]
-    return _collect(Multivector, n, 3, ring, terms)
+    comps, terms = p.comps, []
+    for l in range(1, p.n + 1):
+        # each nonzero partial dP^{K'}/dz^l is taken once
+        partials = [(key, d) for key, entry in comps.items() if (d := entry.diff(l))]
+        for key, entry in comps.items():
+            # X_{z^l} holds the entry at the index m left when l is taken out of key
+            if held := _contract((l,), key):
+                s, m = held
+                for other, d in partials:
+                    if signed := _merge_indices(m, other):
+                        t, merged = signed
+                        terms.append(((s * t, merged), entry, d))
+    return _collect(Multivector, p.n, 3, p.ring, terms)
 
 
 def is_poisson(p: Bivector) -> bool:
@@ -120,6 +135,7 @@ def hamiltonian_field(f: CPoly, p: Bivector) -> VectorField:
 
     Component j is sum_i P^{ij} df/dz^i; zero partials are never stored, so never multiplied.
     """
+    _check_grade(p, "hamiltonian_field")
     if f.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
     return interior_product(partial_d(f), p).to_field()
@@ -132,6 +148,7 @@ def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:
     exactly as it does in the divergence, so a `Bivector` computes it once
     for every volume form of its dimension.
     """
+    _check_grade(p, "modular_field")
     if p.n != omega.n:
         raise ValueError("dimension mismatch with volume form")
     return _memoized(p, "modular_field", lambda: divergence(p, omega).to_field())

@@ -114,43 +114,25 @@ class RealMetric:
 
 
 def realify_metric(metric: HoloMetric) -> RealMetric:
-    n = metric.n
-    a = [[metric.g[i][j].re for j in range(n)] for i in range(n)]
-    b = [[metric.g[i][j].im for j in range(n)] for i in range(n)]
+    def parts(matrix):
+        """Real and imaginary parts of a complex matrix, then their negatives."""
+        re = [[x.re for x in row] for row in matrix]
+        im = [[x.im for x in row] for row in matrix]
+        return re, im, [[-x for x in row] for row in re], [[-x for x in row] for row in im]
 
-    def block(tl, tr, bl, br):
-        rows = []
-        for i in range(n):
-            rows.append([2 * tl[i][j] for j in range(n)] + [2 * tr[i][j] for j in range(n)])
-        for i in range(n):
-            rows.append([2 * bl[i][j] for j in range(n)] + [2 * br[i][j] for j in range(n)])
-        return rows
+    def block(tl, tr, bl, br, k):
+        """k * [[tl, tr], [bl, br]] for square blocks of one size."""
+        return [[k * x for x in left + right] for left, right in zip(tl + bl, tr + br)]
 
-    neg_a = [[-x for x in row] for row in a]
-    neg_b = [[-x for x in row] for row in b]
-    h = block(a, neg_b, neg_b, neg_a)
-    k = block(neg_b, neg_a, neg_a, b)
-    real = RealMetric(n, h, k)
-
-    # the doubled inverses must match the block pattern of the inverse metric
-    c = [[metric.ginv[i][j].re for j in range(n)] for i in range(n)]
-    d = [[metric.ginv[i][j].im for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not (
-                2 * real.hinv[i][j] == c[i][j]
-                and 2 * real.hinv[i][n + j] == d[i][j]
-                and 2 * real.hinv[n + i][j] == d[i][j]
-                and 2 * real.hinv[n + i][n + j] == -c[i][j]
-            ):
-                raise AssertionError("h-inverse block pattern failed")
-            if not (
-                2 * real.kinv[i][j] == d[i][j]
-                and 2 * real.kinv[i][n + j] == -c[i][j]
-                and 2 * real.kinv[n + i][j] == -c[i][j]
-                and 2 * real.kinv[n + i][n + j] == -d[i][j]
-            ):
-                raise AssertionError("k-inverse block pattern failed")
+    a, b, neg_a, neg_b = parts(metric.g)
+    real = RealMetric(metric.n, block(a, neg_b, neg_b, neg_a, 2), block(neg_b, neg_a, neg_a, b, 2))
+    # the inverses must be half the block pattern of the inverse metric
+    c, d, neg_c, neg_d = parts(metric.ginv)
+    half = Fraction(1, 2)
+    if real.hinv != block(c, d, d, neg_c, half):
+        raise AssertionError("h-inverse block pattern failed")
+    if real.kinv != block(d, neg_c, neg_c, neg_d, half):
+        raise AssertionError("k-inverse block pattern failed")
     return real
 
 
