@@ -58,10 +58,15 @@ class ManifestError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+MAX_DIMENSION = 32
+
+
 def _check_dimension(dim: int) -> None:
     """The one dimension rule, for a manifest's `[dim]` and the CLI's `--dim`."""
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"dimension exceeds the limit of {MAX_DIMENSION}")
 
 
 def parse_field(text: str, dim: int) -> VectorField:

@@ -65,7 +65,7 @@ class HoloMetric:
         if v.ring is not CPoly or w.ring is not CPoly:
             raise TypeError("ring mismatch: the metric pairs CPoly fields")
         vc, wc, g = v.components, w.components, self.g
-        return CPoly._sum(self.n, [(1, (vc[i] * wc[j]).scale(g[i][j]))
+        return CPoly._sum(self.n, [(1, vc[i].scale(g[i][j]), wc[j])
                                    for i in range(self.n) for j in range(self.n) if g[i][j]])
 
     def __repr__(self):

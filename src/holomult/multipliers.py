@@ -2,7 +2,9 @@
 
 Every predicate returns its residual polynomial alongside the verdict so a
 failure is diagnosable; a verdict is True exactly when the residual is the
-zero polynomial.
+zero polynomial.  Every result is built in the ring and field class of its
+operands (`field.ring`, `type(field)`, `type(p)`), so the same functions run
+on `RPoly` and `RealVectorField` data as on `CPoly` and `VectorField` data.
 """
 
 from __future__ import annotations
@@ -101,10 +103,7 @@ def darboux_cofactor(f: CPoly, field: VectorField) -> Optional[DarbouxPair]:
     """Extract the cofactor g with Z(f) = g*f, or None when f does not divide Z(f)."""
     if f.is_zero():
         raise ValueError("zero polynomial cannot be a Darboux polynomial")
-    derived = apply_field(field, f)
-    if derived.is_zero():
-        return DarbouxPair(f, CPoly.zero(field.n))
-    quotient = derived.divide_exact(f)
+    quotient = apply_field(field, f).divide_exact(f)
     if quotient is None:
         return None
     return DarbouxPair(f, quotient)
@@ -129,15 +128,13 @@ def darboux_multiplier_search(
     monomials = set(div.terms)
     for pair in pairs:
         monomials.update(pair.cofactor.terms)
-    mono_list = sorted(monomials)
+    # an empty system is the zero monomial's row: 0 == 0
+    mono_list = sorted(monomials) or [(0,) * field.n]
     zero = GaussianRational(0)
     matrix = [
         [pair.cofactor.terms.get(mono, zero) for pair in pairs] for mono in mono_list
     ]
     rhs = [-div.terms.get(mono, zero) for mono in mono_list]
-    if not mono_list:
-        matrix = [[zero for _ in pairs]]
-        rhs = [zero]
     solution = solve_linear(matrix, rhs)
     if not solution.is_consistent:
         return None
@@ -205,7 +202,7 @@ def inverse_from_symmetries(
     for sym in symmetries:
         theta = interior_product(sym, theta)
     beta = theta
-    if not isinstance(beta, CPoly):
+    if not isinstance(beta, field.ring):
         raise AssertionError("contraction did not reduce to a scalar")
     check = is_inverse_multiplier(beta, field, omega)
     if not check.ok:
@@ -236,15 +233,10 @@ def inverse_from_frame(
         raise ValueError("frame and structure matrix must both be n-sized")
     for i in range(n):
         bracket = lie_bracket(field, frame[i])
-        expected = VectorField.zero(n)
-        for k in range(n):
-            expected = expected + frame[k].scale(structure[i][k])
+        expected = sum((frame[k].scale(structure[i][k]) for k in range(n)), type(field).zero(n))
         if bracket != expected:
             raise ValueError(f"bracket relation fails for frame field #{i + 1}")
-    trace = CPoly.zero(n)
-    for k in range(n):
-        trace = trace + structure[k][k]
-    if not trace.is_zero():
+    if field.ring._sum(n, [(1, structure[k][k]) for k in range(n)]):
         raise ValueError("structure-function trace is nonzero")
     beta = frame_volume(frame, omega)
     check = is_inverse_multiplier(beta, field, omega)
@@ -278,7 +270,7 @@ def lift_poly(p: CPoly, total: int, offset: int) -> CPoly:
     terms = {}
     for mono, coeff in p.terms.items():
         terms[(0,) * offset + mono + (0,) * (total - offset - p.nvars)] = coeff
-    return CPoly(total, terms)
+    return type(p)(total, terms)
 
 
 def product_combine(
@@ -295,7 +287,7 @@ def product_combine(
         raise ValueError("second factor fails its inverse-multiplier identity")
     comps = [lift_poly(c, total, 0) for c in field1.components]
     comps += [lift_poly(c, total, n1) for c in field2.components]
-    combined = VectorField(total, comps)
+    combined = type(field1)(total, comps)
     beta = lift_poly(beta1, total, 0) * lift_poly(beta2, total, n1)
     check = is_inverse_multiplier(beta, combined, VolumeForm(total))
     if not check.ok:

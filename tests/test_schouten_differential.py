@@ -1,8 +1,9 @@
 """Differential tests of the Schouten-form Jacobiator and the one-walk realification.
 
-`jacobiator` computes half the Schouten bracket as a wedge sum of the
-Hamiltonian fields of the coordinates with the partials of the bivector, and
-`realify_poisson` splits each stored entry once.  The references below are
+`jacobiator` computes half the Schouten bracket as one gather: each
+entry-times-partial term P^K dP^{K'}/dz^l is added once into its index set's
+sum, with no Hamiltonian field, partial bivector or wedge built in between,
+and `realify_poisson` splits each stored entry once.  The references below are
 the formulas they replace: the cyclic sum of coordinate brackets over every
 triple i < j < k, with each bracket differentiating both arguments for every
 entry, and the realification that splits every index pair through signed
