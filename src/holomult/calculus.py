@@ -297,11 +297,26 @@ class VolumeForm:
 # ---------------------------------------------------------------------------
 
 
-def apply_field(field: VectorField, f: CPoly) -> CPoly:
-    """Derivative of f along the field: sum of Z^i * df/dz^i."""
+def _apply_terms(field: VectorField, f: CPoly) -> list:
+    """The (1, Z^i, df/dz^i) product terms of Z(f), for f of the field's ring."""
+    if type(f) is not field.ring:
+        raise TypeError(f"ring mismatch: {field.ring.__name__} vs {type(f).__name__}")
     if f.nvars != field.n:
         raise ValueError("dimension mismatch between field and function")
-    return field.ring._sum(field.n, [(1, comp, f.diff(i)) for (i,), comp in field.comps.items()])
+    return [(1, comp, f.diff(i)) for (i,), comp in field.comps.items()]
+
+
+def apply_field(field: VectorField, f: CPoly) -> CPoly:
+    """Derivative of f along the field: sum of Z^i * df/dz^i."""
+    return field.ring._sum(field.n, _apply_terms(field, f))
+
+
+def _multiplier_residual(field: VectorField, a: CPoly, omega: VolumeForm, sign: int = 1) -> CPoly:
+    """Z(a) + sign * a * div(Z) as one signed sum: with sign 1 the last-multiplier
+    residual, with sign -1 the inverse-multiplier one."""
+    terms = _apply_terms(field, a)
+    terms.append((sign, a, divergence(field, omega)))
+    return field.ring._sum(field.n, terms)
 
 
 def lie_bracket(z: VectorField, w: VectorField) -> VectorField:

@@ -29,7 +29,7 @@ from .numcheck import SplitMix64, integrate
 from .parser import parse_expr
 from .poisson import Bivector, exactness_check, modular_field
 from .poly import CPoly
-from .realify import modsq, realify_field
+from .realify import _sum_of_squares, realify_field
 
 
 class CliError(ValueError):
@@ -124,14 +124,13 @@ def _realify(args) -> int:
         return 0
     alpha = parse_expr(args.alpha, args.dim)
     re, im = alpha.realify_split()
-    squared = modsq(alpha)
     payload = {
         "command": "realify",
         "re": re.format(),
         "im": im.format(),
-        "modsq": squared.format(),
+        "modsq": _sum_of_squares(re, im).format(),
     }
-    lines = [f"re: {re.format()}", f"im: {im.format()}", f"|.|^2: {squared.format()}"]
+    lines = [f"re: {payload['re']}", f"im: {payload['im']}", f"|.|^2: {payload['modsq']}"]
     _emit(payload, lines, args)
     return 0
 

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Union
 from .calculus import (
     VectorField,
     VolumeForm,
+    _multiplier_residual,
     apply_field,
     divergence,
     flat,
@@ -54,7 +55,7 @@ def is_last_multiplier(alpha: CPoly, field: VectorField, omega: VolumeForm) -> C
     Computed twice: directly, and as closedness of alpha * (Z contracted into
     the volume form); the two routes must agree exactly.
     """
-    residual = apply_field(field, alpha) + alpha * divergence(field, omega)
+    residual = _multiplier_residual(field, alpha, omega)
     d_alpha_theta = partial_d(wedge(alpha, flat(field, omega)))
     top = tuple(range(1, field.n + 1))
     form_residual = d_alpha_theta.component(top)
@@ -65,13 +66,13 @@ def is_last_multiplier(alpha: CPoly, field: VectorField, omega: VolumeForm) -> C
 
 
 def is_inverse_multiplier(beta: CPoly, field: VectorField, omega: VolumeForm) -> Check:
-    residual = apply_field(field, beta) - divergence(field, omega) * beta
+    residual = _multiplier_residual(field, beta, omega, -1)
     return Check(residual.is_zero(), residual)
 
 
 def adjoint_apply(field: VectorField, f: CPoly, omega: VolumeForm) -> CPoly:
     """Adjoint action: -Z(f) - f*div(Z); its kernel is the multiplier set."""
-    return -apply_field(field, f) - f * divergence(field, omega)
+    return -_multiplier_residual(field, f, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ def divergence_type_check(w: VectorField, field: VectorField, omega: VolumeForm)
     """Does div(W) serve as a last multiplier for Z?  True when the second
     Lie derivative of the volume along (Z, W) vanishes."""
     div_w = divergence(w, omega)
-    residual = apply_field(field, div_w) + div_w * divergence(field, omega)
+    residual = _multiplier_residual(field, div_w, omega)
     ok = residual.is_zero()
     if ok:
         inner = is_last_multiplier(div_w, field, omega)

@@ -24,22 +24,24 @@ and `hash` compare it structurally (a CPoly with real coefficients equals
 the RPoly with the same terms, as it always has).  The dicts are never
 mutated once a polynomial holds them, so results may share them.  Sums
 (`+`, `-` and the private `_sum`), products, scaling, partials,
-conjugation, division, the realification split and `poly_summary` work on
-the integers alone and build no `Fraction` or `GaussianRational`; each
-result is reduced once by the gcd with its denominator and wrapped by the
-private `_trusted` constructor.  Every product passes through one routine,
-`_mul_into`, which adds k * a * b into a pair of numerator dicts: `*` calls
-it on empty dicts, and `_sum` takes (sign, p) items beside (sign, p, q)
-items and convolves each product straight into the one signed sum, so a
-sum of products builds no product polynomial and is reduced once.
+conjugation, division, the realification split and formatting (`format`,
+`repr`, `poly_summary`) work on the integers alone and build no `Fraction`
+or `GaussianRational`; each result is reduced once by the gcd with its
+denominator and wrapped by the private `_trusted` constructor.  Every
+product passes through one routine, `_mul_into`, which adds k * a * b into
+a pair of numerator dicts: `*` calls it on empty dicts, and `_sum` takes
+(sign, p) items beside (sign, p, q) items and convolves each product
+straight into the one signed sum, so a sum of products builds no product
+polynomial and is reduced once.
 
 `terms` is a view, built once per polynomial on first read and cached:
 {monomial: coefficient} with `GaussianRational` values with `Fraction`
-parts for CPoly and `Fraction` values for RPoly.  Formatting, `repr`,
-`sorted_terms`, `leading`, exact evaluation and the readers outside this
-module use it.  The public constructor `CPoly(n, terms)` / `RPoly(n,
-terms)` checks and coerces every term, keeps the clean dict as the view and
-derives the integer storage from it.
+parts for CPoly and `Fraction` values for RPoly.  `sorted_terms`,
+`leading`, exact evaluation and the readers outside this module use it;
+`format_poly` writes each coefficient from its numerators and the
+denominator, reduced by their gcd.  The public constructor `CPoly(n,
+terms)` / `RPoly(n, terms)` checks and coerces every term, keeps the clean
+dict as the view and derives the integer storage from it.
 Mixing the two rings in one operation is a TypeError.
 
 Float evaluation lives here too: `float_evaluator` compiles polynomials of
@@ -47,7 +49,8 @@ one ring to an exponent matrix and a coefficient matrix once, straight from
 the numerators (n / den is correctly rounded, so each coefficient is the
 same double as float(Fraction(n, den))), and `evaluate`, the RK4
 right-hand side, drift and residual sampling in `numcheck` all run through
-it.  Exact evaluation is `evaluate_exact`, in either ring.
+it; RK4 passes each slope's array as `out=`.  Exact evaluation is
+`evaluate_exact`, in either ring.
 """
 
 from __future__ import annotations
@@ -564,8 +567,9 @@ def float_evaluator(polys):
     for CPoly and float for RPoly, as one product of monomial values with a
     coefficient matrix over the union of the polynomials' monomials.  The
     monomials are summed in decreasing graded-lex order, so equal polynomials
-    give identical floats.  numpy is loaded on first use, so the exact layers
-    never import it.
+    give identical floats.  Given `out`, an array of the values' shape, it
+    writes the values there and returns it; the floats are the same either
+    way.  numpy is loaded on first use, so the exact layers never import it.
     """
     import numpy as np
 
@@ -584,11 +588,13 @@ def float_evaluator(polys):
         rows = [[p._re.get(m, 0) / p._den for p in polys] for m in monos]
     coeffs = np.array(rows, dtype=kind).reshape(len(monos), len(polys))
 
-    def evaluate(points):
+    def evaluate(points, out=None):
         points = np.asarray(points, dtype=kind)
         if points.shape[-1:] != (nvars,):
             raise ValueError(f"point length {points.shape[-1] if points.ndim else 0} != nvars {nvars}")
-        return np.prod(points[..., None, :] ** exps, axis=-1) @ coeffs
+        # np.prod is this reduction behind a Python wrapper that costs more than the product
+        monomials = np.multiply.reduce(points[..., None, :] ** exps, axis=-1)
+        return np.matmul(monomials, coeffs, out=out)
 
     return evaluate
 
@@ -604,34 +610,38 @@ def default_xy_names(nvars: int):
     return [f"x{k}" for k in range(1, n + 1)] + [f"y{k}" for k in range(1, n + 1)]
 
 
-def _format_coeff(coeff) -> str:
-    """Render a coefficient in the form the parser reads back."""
-    if isinstance(coeff, GaussianRational):
-        if coeff.im == 0:
-            return rational_text(coeff.re)
-        if coeff.re == 0:
-            if coeff.im == 1:
-                return "i"
-            if coeff.im == -1:
-                return "-i"
-            return f"{rational_text(coeff.im)}*i"
-        return f"({coeff})"
-    return rational_text(coeff)
+def _ratio_text(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, written as `rational_text` writes it."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+    return rational_text(num) if den == 1 else f"{rational_text(num)}/{rational_text(den)}"
+
+
+def _coeff_text(a: int, b: int, den: int) -> str:
+    """The coefficient (a + b*i) / den (not zero) in the form the parser reads back."""
+    if not b:
+        return _ratio_text(a, den)
+    imag = "i" if abs(b) == den else f"{_ratio_text(abs(b), den)}*i"
+    if not a:
+        return imag if b > 0 else "-" + imag
+    return f"({_ratio_text(a, den)}{'+' if b > 0 else '-'}{imag})"
 
 
 def format_poly(p: _BasePoly, names) -> str:
-    """Canonical text form: graded-lex descending, parse-compatible."""
+    """Canonical text form: graded-lex descending, parse-compatible.
+
+    Each coefficient is written from the integer numerators and the shared
+    denominator; the `terms` view is never built.
+    """
     if p.is_zero():
         return "0"
+    re, im, den = p._re, p._im, p._den
     pieces = []
-    for mono, coeff in p.sorted_terms():
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"({name})^{e}")
-        ctxt = _format_coeff(coeff)
+    for mono in p._monomials():
+        factors = [name if e == 1 else f"({name})^{e}" for name, e in zip(names, mono) if e]
+        ctxt = _coeff_text(re.get(mono, 0), im.get(mono, 0), den)
         if not factors:
             body = ctxt
         elif ctxt == "1":

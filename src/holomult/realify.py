@@ -21,7 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .calculus import RealVectorField, VectorField, VolumeForm, apply_field, divergence
+from .calculus import (
+    RealVectorField, VectorField, VolumeForm, _multiplier_residual, apply_field, divergence,
+)
 from .linsolve import _inverse
 from .metric import HoloMetric, _raise_index
 from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
@@ -46,8 +48,12 @@ def realify_field(field: VectorField) -> Tuple[RealVectorField, RealVectorField]
 
 def modsq(alpha: CPoly) -> RPoly:
     """Exact squared modulus: (Re alpha)^2 + (Im alpha)^2 on R^{2n}."""
-    re, im = alpha.realify_split()
-    return re * re + im * im
+    return _sum_of_squares(*alpha.realify_split())
+
+
+def _sum_of_squares(re: RPoly, im: RPoly) -> RPoly:
+    """re^2 + im^2 as one kernel sum: the squared modulus of a split (re, im)."""
+    return RPoly._sum(re.nvars, [(1, re, re), (1, im, im)])
 
 
 # calculus.apply_field on a RealVectorField: sum of X^a * du/dx^a
@@ -61,7 +67,7 @@ def real_divergence(field: RealVectorField) -> RPoly:
 
 def real_lm_residual(u: RPoly, field: RealVectorField) -> RPoly:
     """Residual of the real last-multiplier equation X(u) + u div(X)."""
-    return real_apply(field, u) + u * real_divergence(field)
+    return _multiplier_residual(field, u, VolumeForm(field.n))
 
 
 def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
