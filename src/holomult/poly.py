@@ -635,6 +635,8 @@ def format_poly(p: _BasePoly, names) -> str:
     Each coefficient is written from the integer numerators and the shared
     denominator; the `terms` view is never built.
     """
+    if len(names) != p.nvars:
+        raise ValueError(f"{len(names)} variable names for a polynomial in {p.nvars} variables")
     if p.is_zero():
         return "0"
     re, im, den = p._re, p._im, p._den

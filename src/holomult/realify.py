@@ -1,14 +1,14 @@
 """Exact conversion of holomorphic objects to real counterparts on R^{2n}.
 
-Variables are ordered x1..xn, y1..yn with z^k = x^k + i*y^k.  The two real
-fields attached to a holomorphic field Z are
-
-    field_re(Z) = 2 Re Z   with components (X^1..X^n, Y^1..Y^n)
-    field_im(Z) = 2 Im Z   with components (Y^1..Y^n, -X^1..-X^n)
-
-where Z^k = X^k + i*Y^k.  The first one generates the equivalent real ODE
-system; multiplier predicates are insensitive to the overall sign and scale
-of either field.
+Variables are ordered x1..xn, y1..yn with z^k = x^k + i*y^k.  One rule,
+d/dz^k = (d/dx^k - i d/dy^k)/2, realifies a holomorphic multivector M of
+any grade g: a component M^K expands over the 2^g choices of x^k or y^k per
+index, with (-i)^q for q y's and -1 for an odd sort of the chosen index set.
+`realify_poisson` is (Re M, Im M) at factor 1, `realify_field` at factor 2
+(2 Re Z = (X, Y), 2 Im Z = (Y, -X) for Z^k = X^k + i*Y^k), and the
+conj-scaled fields are its halves at factor 2 over `conj_product_split`.
+2 Re Z generates the equivalent real ODE system; multiplier predicates are
+insensitive to the overall sign and scale of either field.
 
 `RealVectorField` and `RealBivector` are `VectorField` and `Bivector` over
 RPoly, so the real twins (apply, divergence, Hamiltonian and modular fields,
@@ -19,10 +19,12 @@ are aliases or one-line calls of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from itertools import product
+from typing import Tuple
 
 from .calculus import (
-    RealVectorField, VectorField, VolumeForm, _multiplier_residual, apply_field, divergence,
+    RealVectorField, VectorField, VolumeForm, _contract, _multiplier_residual, _wrap, apply_field,
+    divergence,
 )
 from .linsolve import _inverse
 from .metric import HoloMetric, _raise_index
@@ -30,20 +32,29 @@ from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, sel
 from .poly import CPoly, RPoly
 
 
-def _real_attached(splits: Sequence[Tuple[RPoly, RPoly]]) -> RealVectorField:
-    """The field (X, Y) from per-component (re, im) = (X^k, Y^k)."""
-    return RealVectorField(2 * len(splits), [re for re, _ in splits] + [im for _, im in splits])
+def _realify(n: int, grade: int, splits, kind, factor):
+    """factor * (Re M, Im M) on R^{2n}, of `kind`, for M^K = a + i b on C^n given as {K: (a, b)}.
 
-
-def _imag_attached(splits: Sequence[Tuple[RPoly, RPoly]]) -> RealVectorField:
-    """The field (Y, -X) from per-component (re, im) = (X^k, Y^k)."""
-    return RealVectorField(2 * len(splits), [im for _, im in splits] + [-re for re, _ in splits])
+    Row q of the table is (-i)^q (a + i b); each (K, choice) sets its own index set once.
+    """
+    ratio = Fraction(factor, 2 ** grade)
+    re_comps, im_comps = {}, {}
+    for key, (a, b) in splits.items():
+        if ratio != 1:
+            a, b = a.scale(ratio), b.scale(ratio)
+        neg_a, neg_b = -a, -b
+        table = ((a, b), (b, neg_a), (neg_a, neg_b), (neg_b, a))
+        for shifts in product((0, n), repeat=grade):  # per index, 0 picks x^k and n picks y^k
+            chosen = tuple(k + s for k, s in zip(key, shifts))
+            ordered = tuple(sorted(chosen))
+            q = grade - shifts.count(0) + (_contract(chosen, ordered)[0] < 0) * 2
+            re_comps[ordered], im_comps[ordered] = table[q & 3]
+    return _wrap(kind, 2 * n, grade, RPoly, re_comps), _wrap(kind, 2 * n, grade, RPoly, im_comps)
 
 
 def realify_field(field: VectorField) -> Tuple[RealVectorField, RealVectorField]:
-    """Split a holomorphic field into its two attached real fields."""
-    splits = [comp.realify_split() for comp in field.components]
-    return _real_attached(splits), _imag_attached(splits)
+    """Split a holomorphic field into its two attached real fields, 2 Re Z and 2 Im Z."""
+    return _realify(field.n, 1, {k: c.realify_split() for k, c in field.comps.items()}, RealVectorField, 2)
 
 
 def modsq(alpha: CPoly) -> RPoly:
@@ -74,17 +85,18 @@ def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
     """(Re, Im) of conj(f)*s as exact real polynomials."""
     fx, fy = f.realify_split()
     sx, sy = s.realify_split()
-    return fx * sx + fy * sy, fx * sy - fy * sx
+    return (RPoly._sum(fx.nvars, [(1, fx, sx), (1, fy, sy)]),
+            RPoly._sum(fx.nvars, [(1, fx, sy), (-1, fy, sx)]))
 
 
 def conj_scaled_real_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Re(conj(f) * W), componentwise."""
-    return _real_attached([conj_product_split(f, comp) for comp in w.components])
+    return _realify(w.n, 1, {k: conj_product_split(f, c) for k, c in w.comps.items()}, RealVectorField, 2)[0]
 
 
 def conj_scaled_imag_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Im(conj(f) * W), componentwise."""
-    return _imag_attached([conj_product_split(f, comp) for comp in w.components])
+    return _realify(w.n, 1, {k: conj_product_split(f, c) for k, c in w.comps.items()}, RealVectorField, 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +172,8 @@ class RealBivector(Bivector):
 
 
 def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
-    """Quarter-scaled real and imaginary parts of a holomorphic bivector.
-
-    Each returns a real Poisson structure whenever the input satisfies the
-    Jacobi identity; the correspondence is relied upon, not re-derived, and
-    the test suite confirms it on the shipped examples.
-    """
-    n = p.n
-    quarter = Fraction(1, 4)
-    # 4 dz_i ^ dz_j = (dx_i ^ dx_j - dy_i ^ dy_j) - i (dx_i ^ dy_j - dx_j ^ dy_i)
-    re_comps: Dict[Tuple[int, int], RPoly] = {}
-    im_comps: Dict[Tuple[int, int], RPoly] = {}
-    for (i, j), entry in p.comps.items():
-        re, im = (part.scale(quarter) for part in entry.realify_split())
-        re_comps[(i, j)], re_comps[(n + i, n + j)] = re, -re
-        re_comps[(i, n + j)], re_comps[(j, n + i)] = im, -im
-        im_comps[(i, j)], im_comps[(n + i, n + j)] = im, -im
-        im_comps[(i, n + j)], im_comps[(j, n + i)] = -re, re
-    return RealBivector(2 * n, re_comps), RealBivector(2 * n, im_comps)
+    """Quarter-scaled real and imaginary parts (Re P, Im P); each is Poisson whenever P is."""
+    return _realify(p.n, 2, {k: e.realify_split() for k, e in p.comps.items()}, RealBivector, 1)
 
 
 # poisson.hamiltonian_field on a RealBivector: component b is sum_a Q^{ab} du/dx^a

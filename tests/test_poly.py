@@ -185,6 +185,16 @@ def test_format_round_trip_compatible_text():
     assert poly_summary(CPoly.zero(3)) == "0"
 
 
+@pytest.mark.parametrize("ring", [CPoly, RPoly])
+def test_format_takes_one_name_per_variable(ring):
+    x1, x2 = ring.var(2, 1), ring.var(2, 2)
+    assert (x1 * x2).format(["a", "b"]) == "a*b"
+    for names in (["a"], ["a", "b", "c"]):
+        for p in (x2, x1 * x2, ring.zero(2)):
+            with pytest.raises(ValueError, match="variable names"):
+                p.format(names)
+
+
 def test_canonical_order_is_graded_lex():
     z1, z2 = (CPoly.var(2, k) for k in (1, 2))
     p = z2 + z1 * z1 + z1 * z2

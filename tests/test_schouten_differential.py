@@ -1,13 +1,16 @@
-"""Differential tests of the Schouten-form Jacobiator and the one-walk realification.
+"""Differential tests of the Schouten-form Jacobiator and the one-rule realification.
 
 `jacobiator` computes half the Schouten bracket as one gather: each
 entry-times-partial term P^K dP^{K'}/dz^l is added once into its index set's
-sum, with no Hamiltonian field, partial bivector or wedge built in between,
-and `realify_poisson` splits each stored entry once.  The references below are
-the formulas they replace: the cyclic sum of coordinate brackets over every
-triple i < j < k, with each bracket differentiating both arguments for every
-entry, and the realification that splits every index pair through signed
-`entry()` copies.  Both are kept here only, as references.
+sum, with no Hamiltonian field, partial bivector or wedge built in between.
+`realify_field`, `realify_poisson` and the conj-scaled fields all come from
+one grade-generic realification, d/dz^k = (d/dx^k - i d/dy^k)/2.  The
+references below are the formulas they replace: the cyclic sum of
+coordinate brackets over every triple i < j < k, with each bracket
+differentiating both arguments for every entry; the realification that
+splits every index pair through signed `entry()` copies; and the
+hand-written grade-1 block rules (X, Y) and (Y, -X).  They are kept here
+only, as references.
 """
 
 from fractions import Fraction
@@ -16,10 +19,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from holomult.calculus import Multivector
+from holomult.calculus import Multivector, RealVectorField, VectorField
 from holomult.poisson import Bivector, is_poisson, jacobiator
 from holomult.poly import CPoly, RPoly
-from holomult.realify import RealBivector, realify_poisson
+from holomult.realify import (
+    RealBivector, conj_product_split, conj_scaled_imag_field, conj_scaled_real_field,
+    realify_field, realify_poisson,
+)
 from holomult.scalars import GaussianRational
 
 # No shrink phase: a failing example is reported as drawn, since each shrink
@@ -78,6 +84,30 @@ def ref_realify_poisson(p):
             re_comps[(i, n + j)] = im.scale(sign * quarter)
             im_comps[(i, n + j)] = re.scale(-sign * quarter)
     return RealBivector(2 * n, re_comps), RealBivector(2 * n, im_comps)
+
+
+def ref_real_attached(splits):
+    """The field (X, Y) from per-component (re, im) = (X^k, Y^k)."""
+    return RealVectorField(2 * len(splits), [re for re, _ in splits] + [im for _, im in splits])
+
+
+def ref_imag_attached(splits):
+    """The field (Y, -X) from per-component (re, im) = (X^k, Y^k)."""
+    return RealVectorField(2 * len(splits), [im for _, im in splits] + [-re for re, _ in splits])
+
+
+def ref_realify_field(field):
+    splits = [comp.realify_split() for comp in field.components]
+    return ref_real_attached(splits), ref_imag_attached(splits)
+
+
+def ref_conj_scaled_fields(f, w):
+    fx, fy = f.realify_split()
+    splits = []
+    for comp in w.components:
+        sx, sy = comp.realify_split()
+        splits.append((fx * sx + fy * sy, fx * sy - fy * sx))
+    return ref_real_attached(splits), ref_imag_attached(splits)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -160,3 +190,44 @@ def test_realify_poisson_matches_the_index_pair_walk(n, data):
     p = data.draw(bivectors(CPoly, n))
     for new, ref in zip(realify_poisson(p), ref_realify_poisson(p)):
         assert_same_graded(new, ref)
+
+
+def assert_same_pair(new, ref):
+    for a, b in zip(new, ref, strict=True):
+        assert type(a) is type(b)
+        assert a == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data())
+def test_realify_field_matches_the_block_rules(n, data):
+    # components may be zero: `polys` draws the empty dictionary too
+    field = VectorField(n, [data.draw(polys(CPoly, n)) for _ in range(n)])
+    assert_same_pair(realify_field(field), ref_realify_field(field))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data())
+def test_conj_scaled_fields_match_the_block_rules(n, data):
+    f = data.draw(polys(CPoly, n))
+    w = VectorField(n, [data.draw(polys(CPoly, n)) for _ in range(n)])
+    new = conj_scaled_real_field(f, w), conj_scaled_imag_field(f, w)
+    assert_same_pair(new, ref_conj_scaled_fields(f, w))
+    sx, sy = w.components[0].realify_split()
+    fx, fy = f.realify_split()
+    assert conj_product_split(f, w.components[0]) == (fx * sx + fy * sy, fx * sy - fy * sx)
+
+
+def test_realification_of_empty_and_one_entry_objects():
+    # the zero field on C^1 and the empty bivector on C^2, the smallest a bivector has
+    for field in (VectorField.zero(1), VectorField(2, [CPoly.zero(2), CPoly.var(2, 1)])):
+        assert_same_pair(realify_field(field), ref_realify_field(field))
+        f = CPoly.var(field.n, 1)
+        new = conj_scaled_real_field(f, field), conj_scaled_imag_field(f, field)
+        assert_same_pair(new, ref_conj_scaled_fields(f, field))
+    z1, z3 = CPoly.var(3, 1), CPoly.var(3, 3)
+    i = GaussianRational(0, 1)
+    for p in (Bivector(2, {}), Bivector(3, {(1, 3): z1 * z3 + z3.scale(i)})):
+        assert_same_pair(realify_poisson(p), ref_realify_poisson(p))
