@@ -18,9 +18,9 @@ a product polynomial of its own.
 Every operation builds its result in the ring of its operands, so apply,
 divergence, Lie bracket, wedge, interior product, pairing, flat, sharp and
 curl run on the real side as they do on the complex one.  `divergence`
-takes any grade >= 1 and equals `curl` on every grade without going through
-forms, and `interior_product` contracts both ways: a multivector into a
-form, or a form into a multivector.
+takes a multivector (not a form) of any grade >= 1 and equals `curl` on
+every grade without going through forms, and `interior_product` contracts
+both ways: a multivector into a form, or a form into a multivector.
 
 The interior-product sign convention is fixed once: for a decomposable
 multivector with increasing factors, contraction starts with the lowest
@@ -333,6 +333,8 @@ def divergence(a: Multivector, omega: VolumeForm):
     Component K is sum_l (-1)^s dA^{K+l}/dz^l, s the number of indices of K
     above l; grade 1 gives the scalar trace.  The constant weight cancels.
     """
+    if not isinstance(a, Multivector):
+        raise ValueError("divergence needs a multivector, not a form or a polynomial")
     if a.n != omega.n:
         raise ValueError("dimension mismatch between field and volume form")
     last = a.grade - 1
@@ -370,6 +372,8 @@ def partial_d(phi: GradedOrScalar) -> Form:
     """Holomorphic exterior derivative of a form (a polynomial counts as a 0-form)."""
     if isinstance(phi, _BasePoly):
         return Form(phi.nvars, 1, {(i,): phi.diff(i) for i in range(1, phi.nvars + 1)}, type(phi))
+    if not isinstance(phi, Form):
+        raise ValueError("partial_d needs a form or a polynomial, not a multivector")
     # an index already in key gives zero: skip it before differentiating
     terms = [(merged, poly.diff(i)) for key, poly in phi.comps.items()
              for i in range(1, phi.n + 1) if (merged := _merge_indices((i,), key))]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .calculus import VectorField, VolumeForm, apply_field, divergence
+from .calculus import VectorField, VolumeForm, _multiplier_residual, apply_field, divergence
 from .linsolve import determinant, invert_matrix
 from .poly import CPoly
 from .scalars import GaussianRational, sqrt_gaussian
@@ -95,10 +95,8 @@ def laplacian(f: CPoly, metric: HoloMetric) -> CPoly:
 
 
 def gradient_lm_residual(alpha: CPoly, f: CPoly, metric: HoloMetric) -> CPoly:
-    """Zero exactly when alpha is a last multiplier for the gradient field of f."""
-    grad_f = gradient(f, metric)
-    grad_alpha = gradient(alpha, metric)
-    return metric.pair_fields(grad_f, grad_alpha) + alpha * laplacian(f, metric)
+    """grad f(alpha) + alpha*laplacian(f): the gradient field's own last-multiplier residual."""
+    return _multiplier_residual(gradient(f, metric), alpha, metric.volume())
 
 
 def conformal_equivalence(f: CPoly, field: VectorField) -> bool:

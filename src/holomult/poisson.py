@@ -16,9 +16,9 @@ ring, gathered in one signed sum per index set:
 
 where X_{z^l}, the Hamiltonian field of z^l, holds P^{lm} at m with
 `_contract`'s sign, so every term is a stored entry times a partial of an
-entry.  The Jacobiator and the two fields read every key as a pair, so each
-refuses any grade but 2.  Nothing here assumes the bivector is Poisson --
-the Jacobi test is itself an operation.
+entry.  The Jacobiator, the two fields and the exactness and multiplier
+checks read every key as a pair, so each refuses any grade but 2.  Nothing
+here assumes the bivector is Poisson: the Jacobi test is itself an operation.
 
 A `Bivector` computes its Jacobiator and its modular field once, in its
 private `_memo` slot.  That is safe because values are immutable and the
@@ -40,6 +40,7 @@ from .calculus import (
     _collect,
     _contract,
     _merge_indices,
+    _multiplier_residual,
     apply_field,
     curl,
     divergence,
@@ -164,13 +165,11 @@ def hamiltonian_lm_residual(
 ) -> CPoly:
     """Residual of 'alpha is a last multiplier for the Hamiltonian field of f'.
 
-    Computed as (alpha * modular - Z_alpha) applied to f.  When a Hamiltonian
-    generator h of the modular field is supplied, the bracket form
-    alpha*{h,f} - {alpha,f} is computed as well and must agree exactly.
+    The field's own residual X_f(alpha) + alpha*div(X_f) = alpha*Z_mod(f) -
+    Z_alpha(f) for every skew P.  A supplied generator h of the modular field
+    adds the bracket form alpha*{h,f} - {alpha,f}, which must agree exactly.
     """
-    z_mod = modular_field(p, omega)
-    z_alpha = hamiltonian_field(alpha, p)
-    residual = alpha * apply_field(z_mod, f) - apply_field(z_alpha, f)
+    residual = _multiplier_residual(hamiltonian_field(f, p), alpha, omega)
     if h is not None:
         if not is_unimodular_with(p, h, omega):
             raise ValueError("supplied h does not generate the modular field")
@@ -202,6 +201,7 @@ def exactness_check(p: Bivector, omega: VolumeForm) -> ExactnessResult:
     when the modular components do, and "exact and Poisson" coincides with
     "zero modular components and zero triple divergences".
     """
+    _check_grade(p, "exactness_check")
     curled = curl(p, omega)
     residual = curled.to_field()
     exact = residual.is_zero()
@@ -226,9 +226,9 @@ def _triple_divergence_zero(p: Bivector) -> bool:
                     if l in (i, j, k):
                         continue
                     combo = (
-                        p.entry(l, i) * p.entry(j, k)
-                        + p.entry(l, j) * p.entry(k, i)
-                        + p.entry(l, k) * p.entry(i, j)
+                        p.component(l, i) * p.component(j, k)
+                        + p.component(l, j) * p.component(k, i)
+                        + p.component(l, k) * p.component(i, j)
                     )
                     total = total + combo.diff(l)
                 if total:
@@ -244,6 +244,7 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
     form calculus, and the cleared modular field of the alpha-weighted
     volume.  True exactly when the common residual vanishes.
     """
+    _check_grade(p, "bivector_lm_check")
     if alpha.is_zero():
         raise ValueError("candidate multiplier must be nonzero")
     if alpha.nvars != p.n:
@@ -280,19 +281,20 @@ def pfaffian4(p: Bivector) -> CPoly:
     if p.n != 4:
         raise ValueError("Pfaffian shortcut is specific to dimension 4")
     return (
-        p.entry(1, 2) * p.entry(3, 4)
-        - p.entry(1, 3) * p.entry(2, 4)
-        + p.entry(1, 4) * p.entry(2, 3)
+        p.component(1, 2) * p.component(3, 4)
+        - p.component(1, 3) * p.component(2, 4)
+        + p.component(1, 4) * p.component(2, 3)
     )
 
 
 def dim4_exactness(p: Bivector, omega: VolumeForm, vanish_point=None) -> Dim4Exactness:
     """Exactness on C^4 via the wedge-square and closedness of the lowered form.
 
-    When a point with P(z0) = 0 is supplied (checked exactly), the
-    equivalence (wedge-square zero AND closed) == exact is asserted; without
-    a vanishing point the three facts are only reported.
+    When P is Poisson and a point with P(z0) = 0 is supplied (checked
+    exactly), the equivalence (wedge-square zero AND closed) == exact is
+    asserted; otherwise the three facts are only reported.
     """
+    _check_grade(p, "dim4_exactness")
     if p.n != 4:
         raise ValueError("this check applies to dimension 4 only")
     lowered = flat(p, omega)
@@ -309,7 +311,7 @@ def dim4_exactness(p: Bivector, omega: VolumeForm, vanish_point=None) -> Dim4Exa
         vanishes = all(
             entry.evaluate_exact(vanish_point) == 0 for entry in p.comps.values()
         )
-        if vanishes and (pfaffian_zero and dclosed) != exact:
+        if vanishes and (pfaffian_zero and dclosed) != exact and is_poisson(p):
             raise AssertionError("dimension-4 exactness equivalence failed")
     return Dim4Exactness(pfaffian_zero, dclosed, exact, pf)
 

@@ -29,7 +29,7 @@ from .calculus import (
 from .linsolve import _inverse
 from .metric import HoloMetric, _raise_index
 from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
-from .poly import CPoly, RPoly
+from .poly import CPoly, RPoly, _BasePoly
 
 
 def _realify(n: int, grade: int, splits, kind, factor):
@@ -52,14 +52,25 @@ def _realify(n: int, grade: int, splits, kind, factor):
     return _wrap(kind, 2 * n, grade, RPoly, re_comps), _wrap(kind, 2 * n, grade, RPoly, im_comps)
 
 
+def _splits(m, grade: int, name: str, split=lambda c: c.realify_split()):
+    """{K: split(M^K)} for a CPoly multivector M of `grade` (split(M) at grade 0); a wrong
+    grade raises a `ValueError` naming `name`, real data the kernel's ring-mismatch TypeError."""
+    ring, got = (type(m), 0) if isinstance(m, _BasePoly) else (m.ring, m.grade)
+    if got != grade:
+        raise ValueError(f"{name} needs grade {grade}, got grade {got}")
+    if ring is not CPoly:
+        raise TypeError(f"ring mismatch: CPoly vs {ring.__name__}")
+    return {k: split(c) for k, c in m.comps.items()} if grade else split(m)
+
+
 def realify_field(field: VectorField) -> Tuple[RealVectorField, RealVectorField]:
     """Split a holomorphic field into its two attached real fields, 2 Re Z and 2 Im Z."""
-    return _realify(field.n, 1, {k: c.realify_split() for k, c in field.comps.items()}, RealVectorField, 2)
+    return _realify(field.n, 1, _splits(field, 1, "realify_field"), RealVectorField, 2)
 
 
 def modsq(alpha: CPoly) -> RPoly:
     """Exact squared modulus: (Re alpha)^2 + (Im alpha)^2 on R^{2n}."""
-    return _sum_of_squares(*alpha.realify_split())
+    return _sum_of_squares(*_splits(alpha, 0, "modsq"))
 
 
 def _sum_of_squares(re: RPoly, im: RPoly) -> RPoly:
@@ -83,20 +94,22 @@ def real_lm_residual(u: RPoly, field: RealVectorField) -> RPoly:
 
 def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
     """(Re, Im) of conj(f)*s as exact real polynomials."""
-    fx, fy = f.realify_split()
-    sx, sy = s.realify_split()
+    fx, fy = _splits(f, 0, "conj_product_split")
+    sx, sy = _splits(s, 0, "conj_product_split")
     return (RPoly._sum(fx.nvars, [(1, fx, sx), (1, fy, sy)]),
             RPoly._sum(fx.nvars, [(1, fx, sy), (-1, fy, sx)]))
 
 
 def conj_scaled_real_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Re(conj(f) * W), componentwise."""
-    return _realify(w.n, 1, {k: conj_product_split(f, c) for k, c in w.comps.items()}, RealVectorField, 2)[0]
+    return _realify(w.n, 1, _splits(w, 1, "conj_scaled_real_field", lambda c: conj_product_split(f, c)),
+                    RealVectorField, 2)[0]
 
 
 def conj_scaled_imag_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Im(conj(f) * W), componentwise."""
-    return _realify(w.n, 1, {k: conj_product_split(f, c) for k, c in w.comps.items()}, RealVectorField, 2)[1]
+    return _realify(w.n, 1, _splits(w, 1, "conj_scaled_imag_field", lambda c: conj_product_split(f, c)),
+                    RealVectorField, 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +186,7 @@ class RealBivector(Bivector):
 
 def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
     """Quarter-scaled real and imaginary parts (Re P, Im P); each is Poisson whenever P is."""
-    return _realify(p.n, 2, {k: e.realify_split() for k, e in p.comps.items()}, RealBivector, 1)
+    return _realify(p.n, 2, _splits(p, 2, "realify_poisson"), RealBivector, 1)
 
 
 # poisson.hamiltonian_field on a RealBivector: component b is sum_a Q^{ab} du/dx^a
