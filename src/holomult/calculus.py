@@ -297,13 +297,13 @@ class VolumeForm:
 # ---------------------------------------------------------------------------
 
 
-def _apply_terms(field: VectorField, f: CPoly) -> list:
-    """The (1, Z^i, df/dz^i) product terms of Z(f), for f of the field's ring."""
+def _apply_terms(field: VectorField, f: CPoly, sign: int = 1) -> list:
+    """The (sign, Z^i, df/dz^i) product terms of sign * Z(f), for f of the field's ring."""
     if type(f) is not field.ring:
         raise TypeError(f"ring mismatch: {field.ring.__name__} vs {type(f).__name__}")
     if f.nvars != field.n:
         raise ValueError("dimension mismatch between field and function")
-    return [(1, comp, f.diff(i)) for (i,), comp in field.comps.items()]
+    return [(sign, comp, f.diff(i)) for (i,), comp in field.comps.items()]
 
 
 def apply_field(field: VectorField, f: CPoly) -> CPoly:
@@ -320,10 +320,10 @@ def _multiplier_residual(field: VectorField, a: CPoly, omega: VolumeForm, sign: 
 
 
 def lie_bracket(z: VectorField, w: VectorField) -> VectorField:
-    """[Z, W]: component k is Z(W^k) - W(Z^k)."""
+    """[Z, W]: component k is Z(W^k) - W(Z^k), one signed sum of products."""
     if type(w) is not type(z) or w.n != z.n:
         raise ValueError("vector fields differ in class or dimension")
-    return type(z)(z.n, [apply_field(z, wk) - apply_field(w, zk)
+    return type(z)(z.n, [z.ring._sum(z.n, _apply_terms(z, wk) + _apply_terms(w, zk, -1))
                          for zk, wk in zip(z.components, w.components)])
 
 
@@ -405,7 +405,8 @@ def interior_product(a, phi):
 def pairing(phi: Form, a) -> CPoly:
     """Duality pairing of a form with an equal-grade multivector.
 
-    Matching increasing basis sets pair to +1 (determinant convention).
+    Matching increasing basis sets pair to +1 (determinant convention); two
+    forms or two multivectors raise `ValueError`, as in `interior_product`.
     """
     if isinstance(phi, _BasePoly) or isinstance(a, _BasePoly):
         if isinstance(phi, _BasePoly) and isinstance(a, _BasePoly):
@@ -413,6 +414,8 @@ def pairing(phi: Form, a) -> CPoly:
         raise ValueError("pairing needs equal grades and dimensions")
     if phi.grade != a.grade or phi.n != a.n:
         raise ValueError("pairing needs equal grades and dimensions")
+    if isinstance(phi, Form) == isinstance(a, Form):
+        raise ValueError("pairing needs one form and one multivector")
     _check_rings(phi, a)
     return phi.ring._sum(phi.n, [(1, v, a.comps[k]) for k, v in phi.comps.items() if k in a.comps])
 

@@ -25,7 +25,7 @@ from .calculus import (
     wedge,
 )
 from .linsolve import solve_linear
-from .poly import CPoly
+from .poly import CPoly, _BasePoly
 from .scalars import GaussianRational
 
 
@@ -228,10 +228,13 @@ def inverse_from_frame(
     omega: VolumeForm,
 ) -> CPoly:
     """Verify the frame relations [Z, Z_i] = sum_k f_i^k Z_k with zero trace,
-    then return beta = omega(Z_1, ..., Z_n)."""
+    then return beta = omega(Z_1, ..., Z_n).  A scalar f_i^k reads as a
+    constant of the field's ring."""
     n = field.n
     if len(frame) != n or len(structure) != n or any(len(row) != n for row in structure):
         raise ValueError("frame and structure matrix must both be n-sized")
+    structure = [[f if isinstance(f, _BasePoly) else field.ring.const(n, f) for f in row]
+                 for row in structure]
     for i in range(n):
         bracket = lie_bracket(field, frame[i])
         expected = sum((frame[k].scale(structure[i][k]) for k in range(n)), type(field).zero(n))

@@ -94,17 +94,15 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> CPoly:
-        negate = self.peek() == "-"
-        if negate:
+        """The expression's signed terms, added once by the kernel's `_sum`."""
+        sign = -1 if self.peek() == "-" else 1
+        if sign < 0:
             self.advance()
-        value = self.parse_term()
-        if negate:
-            value = -value
+        terms = [(sign, self.parse_term())]
         while self.peek() in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            sign = 1 if self.advance()[0] == "+" else -1
+            terms.append((sign, self.parse_term()))
+        return CPoly._sum(self.nvars, terms)
 
     def parse_term(self) -> CPoly:
         value = self.parse_factor()

@@ -22,15 +22,18 @@ every numerator is 1, no dict holds a zero, and the zero polynomial is
 ({}, {}, 1).  Equal polynomials therefore have identical storage, so `==`
 and `hash` compare it structurally (a CPoly with real coefficients equals
 the RPoly with the same terms, as it always has).  The dicts are never
-mutated once a polynomial holds them, so results may share them.  Sums
-(`+`, `-` and the private `_sum`), products, scaling, partials,
-conjugation, division, the realification split and formatting (`format`,
-`repr`, `poly_summary`) work on the integers alone and build no `Fraction`
-or `GaussianRational`; each result is reduced once by the gcd with its
-denominator and wrapped by the private `_trusted` constructor.  Every
-product passes through one routine, `_mul_into`, which adds k * a * b into
-a pair of numerator dicts: `*` calls it on empty dicts, and `_sum` takes
-(sign, p) items beside (sign, p, q) items and convolves each product
+mutated once a polynomial holds them, so results may share them.  Sums,
+products, scaling, partials, conjugation, division, the realification
+split and formatting (`format`, `repr`, `poly_summary`) work on the
+integers alone and build no `Fraction` or `GaussianRational`; each result
+is reduced once by the gcd with its denominator and wrapped by the private
+`_trusted` constructor.  Every sum is one call of the private `_sum`, which
+adds (sign, p) items over their least common denominator: `+` and `-` are
+one call each on the two operands, and the parser, `lie_bracket` and every
+calculus result gather their signed terms for one call.  Every product
+passes through one routine, `_mul_into`, which adds k * a * b into a pair
+of numerator dicts: `*` calls it on empty dicts, and `_sum` takes
+(sign, p, q) items beside the (sign, p) ones and convolves each product
 straight into the one signed sum, so a sum of products builds no product
 polynomial and is reduced once.
 
@@ -301,18 +304,16 @@ class _BasePoly:
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a polynomial of this ring and variable count: a scalar becomes
+        a constant, a polynomial of another ring or count raises."""
         if not isinstance(other, _BasePoly):
             other = self.const(self.nvars, other)
         self._check_compatible(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            a = b = 1
-        else:
-            d1 = lcm(d1, d2)
-            a, b = d1 // self._den, d1 // d2
-        return self._reduced(self.nvars, _combine(self._re, a, other._re, b),
-                             _combine(self._im, a, other._im, b), d1)
+        return other
+
+    def __add__(self, other):
+        return self._sum(self.nvars, ((1, self), (1, self._operand(other))))
 
     __radd__ = __add__
 
@@ -321,12 +322,10 @@ class _BasePoly:
                              {m: -v for m, v in self._im.items()}, self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, _BasePoly):
-            other = self.const(self.nvars, other)
-        return self + (-other)
+        return self._sum(self.nvars, ((1, self), (-1, self._operand(other))))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._sum(self.nvars, ((-1, self), (1, self._operand(other))))
 
     def __mul__(self, other):
         if not isinstance(other, _BasePoly):

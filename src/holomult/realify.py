@@ -6,7 +6,8 @@ any grade g: a component M^K expands over the 2^g choices of x^k or y^k per
 index, with (-i)^q for q y's and -1 for an odd sort of the chosen index set.
 `realify_poisson` is (Re M, Im M) at factor 1, `realify_field` at factor 2
 (2 Re Z = (X, Y), 2 Im Z = (Y, -X) for Z^k = X^k + i*Y^k), and the
-conj-scaled fields are its halves at factor 2 over `conj_product_split`.
+conj-scaled fields are its halves at factor 2 over conj(f) * W^k, with f
+split once per field.
 2 Re Z generates the equivalent real ODE system; multiplier predicates are
 insensitive to the overall sign and scale of either field.
 
@@ -52,15 +53,16 @@ def _realify(n: int, grade: int, splits, kind, factor):
     return _wrap(kind, 2 * n, grade, RPoly, re_comps), _wrap(kind, 2 * n, grade, RPoly, im_comps)
 
 
-def _splits(m, grade: int, name: str, split=lambda c: c.realify_split()):
-    """{K: split(M^K)} for a CPoly multivector M of `grade` (split(M) at grade 0); a wrong
-    grade raises a `ValueError` naming `name`, real data the kernel's ring-mismatch TypeError."""
+def _splits(m, grade: int, name: str):
+    """{K: M^K.realify_split()} for a CPoly multivector M of `grade` (M.realify_split() at
+    grade 0); a wrong grade raises a `ValueError` naming `name`, real data the kernel's
+    ring-mismatch TypeError."""
     ring, got = (type(m), 0) if isinstance(m, _BasePoly) else (m.ring, m.grade)
     if got != grade:
         raise ValueError(f"{name} needs grade {grade}, got grade {got}")
     if ring is not CPoly:
         raise TypeError(f"ring mismatch: CPoly vs {ring.__name__}")
-    return {k: split(c) for k, c in m.comps.items()} if grade else split(m)
+    return {k: c.realify_split() for k, c in m.comps.items()} if grade else m.realify_split()
 
 
 def realify_field(field: VectorField) -> Tuple[RealVectorField, RealVectorField]:
@@ -92,24 +94,34 @@ def real_lm_residual(u: RPoly, field: RealVectorField) -> RPoly:
     return _multiplier_residual(field, u, VolumeForm(field.n))
 
 
-def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
-    """(Re, Im) of conj(f)*s as exact real polynomials."""
-    fx, fy = _splits(f, 0, "conj_product_split")
-    sx, sy = _splits(s, 0, "conj_product_split")
+def _conj_product(f_split, s_split) -> Tuple[RPoly, RPoly]:
+    """(Re, Im) of conj(f)*s from the splits (fx, fy) of f and (sx, sy) of s."""
+    (fx, fy), (sx, sy) = f_split, s_split
     return (RPoly._sum(fx.nvars, [(1, fx, sx), (1, fy, sy)]),
             RPoly._sum(fx.nvars, [(1, fx, sy), (-1, fy, sx)]))
 
 
+def conj_product_split(f: CPoly, s: CPoly) -> Tuple[RPoly, RPoly]:
+    """(Re, Im) of conj(f)*s as exact real polynomials."""
+    return _conj_product(_splits(f, 0, "conj_product_split"), _splits(s, 0, "conj_product_split"))
+
+
+def _conj_scaled(f: CPoly, w: VectorField, name: str):
+    """(2 Re, 2 Im)(conj(f) * W) realified, splitting f once and each component of W once."""
+    w_splits = _splits(w, 1, name)
+    f_split = _splits(f, 0, name)
+    return _realify(w.n, 1, {k: _conj_product(f_split, c) for k, c in w_splits.items()},
+                    RealVectorField, 2)
+
+
 def conj_scaled_real_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Re(conj(f) * W), componentwise."""
-    return _realify(w.n, 1, _splits(w, 1, "conj_scaled_real_field", lambda c: conj_product_split(f, c)),
-                    RealVectorField, 2)[0]
+    return _conj_scaled(f, w, "conj_scaled_real_field")[0]
 
 
 def conj_scaled_imag_field(f: CPoly, w: VectorField) -> RealVectorField:
     """Realification of 2 Im(conj(f) * W), componentwise."""
-    return _realify(w.n, 1, _splits(w, 1, "conj_scaled_imag_field", lambda c: conj_product_split(f, c)),
-                    RealVectorField, 2)[1]
+    return _conj_scaled(f, w, "conj_scaled_imag_field")[1]
 
 
 # ---------------------------------------------------------------------------
