@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Union
 from .calculus import (
     VectorField,
     VolumeForm,
+    _collect,
     _multiplier_residual,
     apply_field,
     divergence,
@@ -25,7 +26,7 @@ from .calculus import (
     wedge,
 )
 from .linsolve import solve_linear
-from .poly import CPoly, _BasePoly
+from .poly import CPoly
 from .scalars import GaussianRational
 
 
@@ -233,13 +234,13 @@ def inverse_from_frame(
     n = field.n
     if len(frame) != n or len(structure) != n or any(len(row) != n for row in structure):
         raise ValueError("frame and structure matrix must both be n-sized")
-    structure = [[f if isinstance(f, _BasePoly) else field.ring.const(n, f) for f in row]
-                 for row in structure]
-    for i in range(n):
-        bracket = lie_bracket(field, frame[i])
-        expected = sum((frame[k].scale(structure[i][k]) for k in range(n)), type(field).zero(n))
-        if bracket != expected:
-            raise ValueError(f"bracket relation fails for frame field #{i + 1}")
+    structure = [[field.ring.zero(n)._operand(f) for f in row] for row in structure]
+    # every bracket first: lie_bracket refuses a frame field of another class or dimension
+    brackets = [lie_bracket(field, z) for z in frame]
+    for i, (bracket, row) in enumerate(zip(brackets, structure), start=1):
+        terms = [((1, key), f, comp) for f, z in zip(row, frame) for key, comp in z.comps.items()]
+        if bracket != _collect(type(field), n, 1, field.ring, terms):
+            raise ValueError(f"bracket relation fails for frame field #{i}")
     if field.ring._sum(n, [(1, structure[k][k]) for k in range(n)]):
         raise ValueError("structure-function trace is nonzero")
     beta = frame_volume(frame, omega)

@@ -19,6 +19,9 @@ where X_{z^l}, the Hamiltonian field of z^l, holds P^{lm} at m with
 entry.  The Jacobiator, the two fields and the exactness and multiplier
 checks read every key as a pair, so each refuses any grade but 2.  Nothing
 here assumes the bivector is Poisson: the Jacobi test is itself an operation.
+Every other sum of products here is one kernel `_sum` or `_collect` call too.
+The Pfaffian and the triple divergences read signed `component()` copies
+only, so they stay independent routes of the checks.
 
 A `Bivector` computes its Jacobiator and its modular field once, in its
 private `_memo` slot.  That is safe because values are immutable and the
@@ -31,6 +34,7 @@ cross-checked route is still computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from .calculus import (
@@ -173,7 +177,8 @@ def hamiltonian_lm_residual(
     if h is not None:
         if not is_unimodular_with(p, h, omega):
             raise ValueError("supplied h does not generate the modular field")
-        bracket_form = alpha * poisson_bracket(h, f, p) - poisson_bracket(alpha, f, p)
+        bracket_form = p.ring._sum(p.n, ((1, alpha, poisson_bracket(h, f, p)),
+                                         (-1, poisson_bracket(alpha, f, p))))
         if bracket_form != residual:
             raise AssertionError("unimodular bracket form disagrees with the residual")
     return residual
@@ -217,22 +222,16 @@ def exactness_check(p: Bivector, omega: VolumeForm) -> ExactnessResult:
 
 
 def _triple_divergence_zero(p: Bivector) -> bool:
-    """Divergence of the triple products P^{li}P^{jk} + P^{lj}P^{ki} + P^{lk}P^{ij}."""
-    for i in range(1, p.n + 1):
-        for j in range(i + 1, p.n + 1):
-            for k in range(j + 1, p.n + 1):
-                total = p.ring.zero(p.n)
-                for l in range(1, p.n + 1):
-                    if l in (i, j, k):
-                        continue
-                    combo = (
-                        p.component(l, i) * p.component(j, k)
-                        + p.component(l, j) * p.component(k, i)
-                        + p.component(l, k) * p.component(i, j)
-                    )
-                    total = total + combo.diff(l)
-                if total:
-                    return False
+    """Divergence of the triple products P^{li}P^{jk} + P^{lj}P^{ki} + P^{lk}P^{ij}:
+    one signed sum of the three products per l, and one of their l-partials per triple."""
+    n, entry = p.n, p.component
+    for triple in combinations(range(1, n + 1), 3):
+        i, j, k = triple
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        partials = [(1, p.ring._sum(n, [(1, entry(l, a), entry(b, c)) for a, b, c in cyclic]).diff(l))
+                    for l in range(1, n + 1) if l not in triple]
+        if p.ring._sum(n, partials):
+            return False
     return True
 
 
@@ -261,8 +260,9 @@ def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
         raise AssertionError("componentwise and form-calculus routes disagree")
     # route 3: cleared modular field of the alpha-weighted volume
     z_mod = modular_field(p, omega)
-    z_alpha = hamiltonian_field(alpha, p)
-    via_modular = z_mod.scale(alpha) - z_alpha
+    terms = [((1, key), z, alpha) for key, z in z_mod.comps.items()]
+    terms += [((-1, key), z) for key, z in hamiltonian_field(alpha, p).comps.items()]
+    via_modular = _collect(type(z_mod), p.n, 1, p.ring, terms)
     if via_modular != direct:
         raise AssertionError("weighted-modular route disagrees")
     return Check(direct.is_zero(), direct)
@@ -280,11 +280,8 @@ def pfaffian4(p: Bivector) -> CPoly:
     """Rank certificate on C^4: zero exactly when the rank is at most two."""
     if p.n != 4:
         raise ValueError("Pfaffian shortcut is specific to dimension 4")
-    return (
-        p.component(1, 2) * p.component(3, 4)
-        - p.component(1, 3) * p.component(2, 4)
-        + p.component(1, 4) * p.component(2, 3)
-    )
+    c = p.component
+    return p.ring._sum(4, ((1, c(1, 2), c(3, 4)), (-1, c(1, 3), c(2, 4)), (1, c(1, 4), c(2, 3))))
 
 
 def dim4_exactness(p: Bivector, omega: VolumeForm, vanish_point=None) -> Dim4Exactness:

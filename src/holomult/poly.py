@@ -29,13 +29,13 @@ integers alone and build no `Fraction` or `GaussianRational`; each result
 is reduced once by the gcd with its denominator and wrapped by the private
 `_trusted` constructor.  Every sum is one call of the private `_sum`, which
 adds (sign, p) items over their least common denominator: `+` and `-` are
-one call each on the two operands, and the parser, `lie_bracket` and every
-calculus result gather their signed terms for one call.  Every product
-passes through one routine, `_mul_into`, which adds k * a * b into a pair
-of numerator dicts: `*` calls it on empty dicts, and `_sum` takes
-(sign, p, q) items beside the (sign, p) ones and convolves each product
-straight into the one signed sum, so a sum of products builds no product
-polynomial and is reduced once.
+one call each on the two operands; the parser, every calculus, Poisson and
+frame result and each `divide_exact` step gather signed terms for one call.
+Every product passes through one routine, `_mul_into`, which adds k * a * b
+into a pair of numerator dicts: `*` calls it on empty dicts, and `_sum`
+takes (sign, p, q) items beside the (sign, p) ones and convolves each
+product straight into the one signed sum, so a sum of products builds no
+product polynomial and is reduced once.
 
 `terms` is a view, built once per polynomial on first read and cached:
 {monomial: coefficient} with `GaussianRational` values with `Fraction`
@@ -435,7 +435,8 @@ class _BasePoly:
         """Quotient q with self == q * divisor, or None if not exactly divisible.
 
         Single-divisor multivariate division in graded-lex order; any step
-        whose leading term is not divisible proves non-divisibility.
+        whose leading term is not divisible proves non-divisibility, and a
+        step that leaves its leading term in place raises AssertionError.
         """
         self._check_compatible(divisor)
         if divisor.is_zero():
@@ -457,7 +458,9 @@ class _BasePoly:
             piece = self._reduced(nvars, {diff: qr} if qr else {}, {diff: qi} if qi else {},
                                   queue._den * norm)
             pieces.append((1, piece))
-            queue = queue - piece * divisor
+            queue = self._sum(nvars, ((1, queue), (-1, piece, divisor)))
+            if rm in queue._re or rm in queue._im:
+                raise AssertionError("division step left its leading term in place")
         return self._sum(nvars, pieces)
 
     def __repr__(self):

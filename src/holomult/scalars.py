@@ -26,16 +26,16 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
+        if not isinstance(value, _EXACT):
+            raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
+        return value if isinstance(value, GaussianRational) else cls(value)
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         return _make(self.re + other.re, self.im + other.im)
 
@@ -46,6 +46,8 @@ class GaussianRational:
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         return _make(self.re - other.re, self.im - other.im)
 
@@ -56,6 +58,8 @@ class GaussianRational:
         if type(other) is not GaussianRational:
             if type(other) is int:  # exponents in diff; bool is not an int here
                 return _make(self.re * other, self.im * other)
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if b or d:
@@ -130,6 +134,10 @@ class GaussianRational:
         mag = abs(self.im)
         imtxt = "i" if mag == 1 else f"{rational_text(mag)}*i"
         return f"{rational_text(self.re)}{sign}{imtxt}"
+
+
+# the types `coerce` accepts; +, - and * return NotImplemented for any other (a polynomial answers)
+_EXACT = (GaussianRational, int, Fraction)
 
 
 def rational_text(q) -> str:
