@@ -35,7 +35,8 @@ Every product passes through one routine, `_mul_into`, which adds k * a * b
 into a pair of numerator dicts: `*` calls it on empty dicts, and `_sum`
 takes (sign, p, q) items beside the (sign, p) ones and convolves each
 product straight into the one signed sum, so a sum of products builds no
-product polynomial and is reduced once.
+product polynomial and is reduced once.  A square of more than two terms
+(`a is b`) convolves each unordered term pair once.
 
 `terms` is a view, built once per polynomial on first read and cached:
 {monomial: coefficient} with `GaussianRational` values with `Fraction`
@@ -111,10 +112,34 @@ def _convolve(out: Part, p: Part, q: Part, k: int):
             out[mono] = get(mono, 0) + c1 * c2
 
 
+def _square(out: Part, p: Part, k: int):
+    """Add k * p * p into out (zeros included), each unordered pair of terms once."""
+    get = out.get
+    items = list(p.items())
+    k2 = 2 * k
+    for idx, (m1, c1) in enumerate(items):
+        mono = tuple(map(add, m1, m1))
+        out[mono] = get(mono, 0) + c1 * c1 * k
+        c1 *= k2
+        for m2, c2 in items[idx + 1:]:
+            mono = tuple(map(add, m1, m2))
+            out[mono] = get(mono, 0) + c1 * c2
+
+
 def _mul_into(re: Part, im: Part, a: "_BasePoly", b: "_BasePoly", k: int):
     """Add k * a * b (k != 0) into the numerator dicts re and im, zeros included:
-    the one product routine, (ar + i ai)(br + i bi) skipping every empty part."""
+    the one product routine, (ar + i ai)(br + i bi) skipping every empty part.
+    A square of more than two terms (b is a) takes each unordered term pair once:
+    ar^2 - ai^2 into re and 2 ar ai into im."""
     ar, ai, br, bi = a._re, a._im, b._re, b._im
+    if a is b and len(ar) + len(ai) > 2:
+        if ar:
+            _square(re, ar, k)
+        if ai:
+            _square(re, ai, -k)
+        if ar and ai:
+            _convolve(im, ar, ai, 2 * k)
+        return
     if ar and br:
         _convolve(re, ar, br, k)
     if ai and bi:
@@ -366,7 +391,11 @@ class _BasePoly:
             return (self.nvars == other.nvars and self._den == other._den
                     and self._re == other._re and self._im == other._im)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return self == self.const(self.nvars, other)
+            try:
+                other = self.const(self.nvars, other)
+            except ValueError:  # a non-real scalar never equals an RPoly
+                return False
+            return self == other
         return NotImplemented
 
     def __hash__(self):

@@ -14,13 +14,17 @@ insensitive to the overall sign and scale of either field.
 `RealVectorField` and `RealBivector` are `VectorField` and `Bivector` over
 RPoly, so the real twins (apply, divergence, Hamiltonian and modular fields,
 Jacobi) are the `calculus` and `poisson` functions; the `real_*` names below
-are aliases or one-line calls of them.
+are aliases or one-line calls of them.  The two exceptions, the real Jacobi
+test and the real modular field of a bivector q, answer on C^n when q is
+Re P or Im P of a holomorphic P, recovered by `_complexify` after an exact
+round trip, and take that direct route on R^{2n} otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 from typing import Tuple
 
 from .calculus import (
@@ -33,13 +37,13 @@ from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, sel
 from .poly import CPoly, RPoly, _BasePoly
 
 
-def _realify(n: int, grade: int, splits, kind, factor):
-    """factor * (Re M, Im M) on R^{2n}, of `kind`, for M^K = a + i b on C^n given as {K: (a, b)}.
+def _realified(n: int, grade: int, splits, factor):
+    """(index set on R^{2n}, factor * (Re, Im) there) for M^K = a + i b on C^n given as
+    {K: (a, b)}: each (K, choice) sets its own index set once.
 
-    Row q of the table is (-i)^q (a + i b); each (K, choice) sets its own index set once.
+    Row q of the table is (-i)^q (a + i b).
     """
     ratio = Fraction(factor, 2 ** grade)
-    re_comps, im_comps = {}, {}
     for key, (a, b) in splits.items():
         if ratio != 1:
             a, b = a.scale(ratio), b.scale(ratio)
@@ -49,7 +53,14 @@ def _realify(n: int, grade: int, splits, kind, factor):
             chosen = tuple(k + s for k, s in zip(key, shifts))
             ordered = tuple(sorted(chosen))
             q = grade - shifts.count(0) + (_contract(chosen, ordered)[0] < 0) * 2
-            re_comps[ordered], im_comps[ordered] = table[q & 3]
+            yield ordered, table[q & 3]
+
+
+def _realify(n: int, grade: int, splits, kind, factor):
+    """factor * (Re M, Im M) on R^{2n}, of `kind`, for M^K = a + i b on C^n given as {K: (a, b)}."""
+    re_comps, im_comps = {}, {}
+    for ordered, (re, im) in _realified(n, grade, splits, factor):
+        re_comps[ordered], im_comps[ordered] = re, im
     return _wrap(kind, 2 * n, grade, RPoly, re_comps), _wrap(kind, 2 * n, grade, RPoly, im_comps)
 
 
@@ -205,15 +216,50 @@ def realify_poisson(p: Bivector) -> Tuple[RealBivector, RealBivector]:
 real_hamiltonian = hamiltonian_field
 
 
+def _complexify(q) -> Bivector | None:
+    """The holomorphic P on C^n whose realification has q as its real half, or None.
+
+    Only a `RealBivector` on R^{2n} with n >= 2 qualifies.  P^{jk} is
+    4 (q^{x_j x_k} + i q^{x_j y_k}) at y = 0 with x renamed z, kept only when
+    q^{y_j y_k} = -q^{x_j x_k} and the real half of the realification of P is q
+    in canonical storage; since Im P = Re(-iP), the imaginary half gives -iP.
+    """
+    if not isinstance(q, RealBivector) or q.n % 2 or q.n < 4:
+        return None
+    n, comps = q.n // 2, q.comps
+    zero, flat = RPoly.zero(q.n), (0,) * n
+    quarters = {}  # P^{jk} / 4, whose realification at factor 4 needs no scaling
+    for j, k in combinations(range(1, n + 1), 2):
+        xx, xy = comps.get((j, k), zero), comps.get((j, k + n), zero)
+        if comps.get((j + n, k + n), zero) != -xx:
+            return None
+        den = lcm(xx._den, xy._den)
+        re = {m[:n]: v * (den // xx._den) for m, v in xx._re.items() if m[n:] == flat}
+        im = {m[:n]: v * (den // xy._den) for m, v in xy._re.items() if m[n:] == flat}
+        if re or im:
+            quarters[(j, k)] = CPoly._reduced(n, re, im, den)
+    splits = {key: entry.realify_split() for key, entry in quarters.items()}
+    if {key: re for key, (re, _) in _realified(n, 2, splits, 4) if re} != comps:
+        return None
+    return _wrap(Bivector, n, 2, CPoly, {key: entry.scale(4) for key, entry in quarters.items()})
+
+
+def is_real_poisson(q: RealBivector) -> bool:
+    """poisson.is_poisson of q, answered on C^n when q is Re P or Im P: J(Re P) = Re J(P)/2."""
+    p = _complexify(q)
+    return is_poisson(q if p is None else p)
+
+
 def real_modular_field(q: RealBivector) -> RealVectorField:
-    """poisson.modular_field against the unit volume on R^{2n} (the weight cancels)."""
-    return modular_field(q, VolumeForm(q.n))
+    """poisson.modular_field against the unit volume on R^{2n} (the weight cancels),
+    the real half of the realified modular field of P when q is Re P."""
+    p = _complexify(q)
+    if p is None:
+        return modular_field(q, VolumeForm(q.n))
+    splits = _splits(modular_field(p, VolumeForm(p.n)), 1, "real_modular_field")
+    return _realify(p.n, 1, splits, RealVectorField, 1)[0]
 
 
 def real_self_residual(u: RPoly, q: RealBivector) -> RPoly:
     """Real counterpart of the self-multiplier residual for bivectors."""
     return self_multiplier_residual(u, q, VolumeForm(q.n))
-
-
-# poisson.is_poisson on a RealBivector: the Jacobiator vanishes on every triple
-is_real_poisson = is_poisson

@@ -26,17 +26,18 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if not isinstance(value, _EXACT):
+        out = _exact(value)
+        if out is None:
             raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
-        return value if isinstance(value, GaussianRational) else cls(value)
+        return out
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, _EXACT):
+            other = _exact(other)
+            if other is None:
                 return NotImplemented
-            other = GaussianRational.coerce(other)
         return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -46,9 +47,9 @@ class GaussianRational:
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            if not isinstance(other, _EXACT):
+            other = _exact(other)
+            if other is None:
                 return NotImplemented
-            other = GaussianRational.coerce(other)
         return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -58,9 +59,9 @@ class GaussianRational:
         if type(other) is not GaussianRational:
             if type(other) is int:  # exponents in diff; bool is not an int here
                 return _make(self.re * other, self.im * other)
-            if not isinstance(other, _EXACT):
+            other = _exact(other)
+            if other is None:
                 return NotImplemented
-            other = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if b or d:
             return _make(a * c - b * d, a * d + b * c)
@@ -105,9 +106,8 @@ class GaussianRational:
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:
-            try:
-                other = GaussianRational.coerce(other)
-            except TypeError:
+            other = _exact(other)
+            if other is None:
                 return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -136,8 +136,15 @@ class GaussianRational:
         return f"{rational_text(self.re)}{sign}{imtxt}"
 
 
-# the types `coerce` accepts; +, - and * return NotImplemented for any other (a polynomial answers)
-_EXACT = (GaussianRational, int, Fraction)
+def _exact(value):
+    """value as a GaussianRational if it is one, an int or a Fraction, else None: the
+    one operand check, so `coerce` raises and +, -, * and == return NotImplemented
+    for any other type (a polynomial answers)."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    return None
 
 
 def rational_text(q) -> str:
