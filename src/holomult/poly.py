@@ -35,8 +35,9 @@ Every product passes through one routine, `_mul_into`, which adds k * a * b
 into a pair of numerator dicts: `*` calls it on empty dicts, and `_sum`
 takes (sign, p, q) items beside the (sign, p) ones and convolves each
 product straight into the one signed sum, so a sum of products builds no
-product polynomial and is reduced once.  A square of more than two terms
-(`a is b`) convolves each unordered term pair once.
+product polynomial and is reduced once.  The one exception is `_sum_squares`,
+the sum of squares behind the squared modulus, which convolves each
+unordered term pair of a square once.
 
 `terms` is a view, built once per polynomial on first read and cached:
 {monomial: coefficient} with `GaussianRational` values with `Fraction`
@@ -128,18 +129,8 @@ def _square(out: Part, p: Part, k: int):
 
 def _mul_into(re: Part, im: Part, a: "_BasePoly", b: "_BasePoly", k: int):
     """Add k * a * b (k != 0) into the numerator dicts re and im, zeros included:
-    the one product routine, (ar + i ai)(br + i bi) skipping every empty part.
-    A square of more than two terms (b is a) takes each unordered term pair once:
-    ar^2 - ai^2 into re and 2 ar ai into im."""
+    the one product routine, (ar + i ai)(br + i bi) skipping every empty part."""
     ar, ai, br, bi = a._re, a._im, b._re, b._im
-    if a is b and len(ar) + len(ai) > 2:
-        if ar:
-            _square(re, ar, k)
-        if ai:
-            _square(re, ai, -k)
-        if ar and ai:
-            _convolve(im, ar, ai, 2 * k)
-        return
     if ar and br:
         _convolve(re, ar, br, k)
     if ai and bi:
@@ -264,6 +255,28 @@ class _BasePoly:
                 _mul_into(re, im, a, b, s * (den // (a._den * b._den)))
             re, im = _nonzero(re), _nonzero(im)
         return cls._reduced(nvars, re, im, den)
+
+    @classmethod
+    def _sum_squares(cls, nvars: int, polys):
+        """Sum of p * p over polys of this ring in `nvars` variables, reduced once.
+
+        Each square is (ar^2 - ai^2) + 2i ar ai, and `_square` takes each
+        unordered term pair of ar and of ai once, so the values and the order of
+        the numerator dicts are those of `_sum` over the (1, p, p) items.
+        """
+        polys = [p for p in polys if p._re or p._im]
+        den = lcm(*(p._den for p in polys))
+        re: Part = {}
+        im: Part = {}
+        for p in polys:
+            k = (den // p._den) ** 2
+            if p._re:
+                _square(re, p._re, k)
+            if p._im:
+                _square(re, p._im, -k)
+            if p._re and p._im:
+                _convolve(im, p._re, p._im, 2 * k)
+        return cls._reduced(nvars, _nonzero(re), _nonzero(im), den * den)
 
     @property
     def terms(self) -> Dict[Monomial, object]:

@@ -14,10 +14,10 @@ insensitive to the overall sign and scale of either field.
 `RealVectorField` and `RealBivector` are `VectorField` and `Bivector` over
 RPoly, so the real twins (apply, divergence, Hamiltonian and modular fields,
 Jacobi) are the `calculus` and `poisson` functions; the `real_*` names below
-are aliases or one-line calls of them.  The two exceptions, the real Jacobi
-test and the real modular field of a bivector q, answer on C^n when q is
-Re P or Im P of a holomorphic P, recovered by `_complexify` after an exact
-round trip, and take that direct route on R^{2n} otherwise.
+are aliases or one-line calls of them.  The one exception, the real Jacobi
+test of a bivector q, answers on C^n when q is Re P or Im P of a holomorphic
+P, recovered by `_complexify` after an exact round trip, and takes that
+direct route on R^{2n} otherwise.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def modsq(alpha: CPoly) -> RPoly:
 
 def _sum_of_squares(re: RPoly, im: RPoly) -> RPoly:
     """re^2 + im^2 as one kernel sum: the squared modulus of a split (re, im)."""
-    return RPoly._sum(re.nvars, [(1, re, re), (1, im, im)])
+    return RPoly._sum_squares(re.nvars, (re, im))
 
 
 # calculus.apply_field on a RealVectorField: sum of X^a * du/dx^a
@@ -221,8 +221,8 @@ def _complexify(q) -> Bivector | None:
 
     Only a `RealBivector` on R^{2n} with n >= 2 qualifies.  P^{jk} is
     4 (q^{x_j x_k} + i q^{x_j y_k}) at y = 0 with x renamed z, kept only when
-    q^{y_j y_k} = -q^{x_j x_k} and the real half of the realification of P is q
-    in canonical storage; since Im P = Re(-iP), the imaginary half gives -iP.
+    the real half of the realification of P is q in canonical storage; since
+    Im P = Re(-iP), the imaginary half gives -iP.
     """
     if not isinstance(q, RealBivector) or q.n % 2 or q.n < 4:
         return None
@@ -231,8 +231,6 @@ def _complexify(q) -> Bivector | None:
     quarters = {}  # P^{jk} / 4, whose realification at factor 4 needs no scaling
     for j, k in combinations(range(1, n + 1), 2):
         xx, xy = comps.get((j, k), zero), comps.get((j, k + n), zero)
-        if comps.get((j + n, k + n), zero) != -xx:
-            return None
         den = lcm(xx._den, xy._den)
         re = {m[:n]: v * (den // xx._den) for m, v in xx._re.items() if m[n:] == flat}
         im = {m[:n]: v * (den // xy._den) for m, v in xy._re.items() if m[n:] == flat}
@@ -251,13 +249,8 @@ def is_real_poisson(q: RealBivector) -> bool:
 
 
 def real_modular_field(q: RealBivector) -> RealVectorField:
-    """poisson.modular_field against the unit volume on R^{2n} (the weight cancels),
-    the real half of the realified modular field of P when q is Re P."""
-    p = _complexify(q)
-    if p is None:
-        return modular_field(q, VolumeForm(q.n))
-    splits = _splits(modular_field(p, VolumeForm(p.n)), 1, "real_modular_field")
-    return _realify(p.n, 1, splits, RealVectorField, 1)[0]
+    """poisson.modular_field against the unit volume on R^{2n} (the weight cancels)."""
+    return modular_field(q, VolumeForm(q.n))
 
 
 def real_self_residual(u: RPoly, q: RealBivector) -> RPoly:

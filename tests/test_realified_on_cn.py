@@ -1,13 +1,12 @@
-"""The realified Poisson predicates answer on C^n, with the R^{2n} routes as references.
+"""The real Jacobi test answers on C^n, with the R^{2n} route as reference.
 
 `realify._complexify(q)` recovers the holomorphic P whose realification has
 q as its real half, P^{jk} = 4 (q^{x_j x_k} + i q^{x_j y_k}) at y = 0, and
 keeps it only after an exact round trip.  `is_real_poisson(q)` is then
-`is_poisson(P)`, since J(Re P) = Re J(P)/2, and `real_modular_field(q)` is
-the real half of the realified modular field of P.  On `None` both take the
-direct route on R^{2n}, which these tests call by hand as the reference:
-`poisson.is_poisson(q)` and `modular_field(q, VolumeForm(q.n))`.  Since
-Im P = Re(-iP), the imaginary half complexifies to -iP.
+`is_poisson(P)`, since J(Re P) = Re J(P)/2.  On `None` it takes the direct
+route on R^{2n}, which these tests call by hand as the reference:
+`poisson.is_poisson(q)`.  Since Im P = Re(-iP), the imaginary half
+complexifies to -iP.
 """
 
 import random
@@ -15,17 +14,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from holomult.calculus import Multivector, VolumeForm
-from holomult.poisson import Bivector, is_poisson, modular_field
+from holomult.calculus import Multivector
+from holomult.poisson import Bivector, is_poisson
 from holomult.poly import CPoly, RPoly
-from holomult.realify import (
-    RealBivector, RealVectorField, _complexify, _realify, is_real_poisson, real_modular_field,
-    realify_poisson,
-)
+from holomult.realify import RealBivector, _complexify, _realify, is_real_poisson, realify_poisson
 from holomult.scalars import GaussianRational
 
 from conftest import random_cpoly
+from test_realify_identities import SETTINGS, bivectors
 
 I = GaussianRational(0, 1)
 
@@ -90,10 +89,17 @@ def test_both_halves_complexify_and_answer_as_the_direct_route(index):
         verdict = is_real_poisson(q)
         assert type(verdict) is bool
         assert verdict == is_poisson(RealBivector(q.n, q.comps)) == is_poisson(p)
-        fast, direct = real_modular_field(q), modular_field(RealBivector(q.n, q.comps), VolumeForm(q.n))
-        assert type(fast) is type(direct) is RealVectorField
-        assert fast == direct
-        assert all(type(c) is RPoly for c in fast.comps.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@SETTINGS
+@given(data=st.data())
+def test_randomised_halves_answer_as_the_direct_route(n, data):
+    p = data.draw(bivectors(n))
+    q_re, q_im = realify_poisson(p)
+    assert _complexify(q_re) == p
+    for q in (q_re, q_im):
+        assert is_real_poisson(q) is is_poisson(RealBivector(q.n, q.comps))
 
 
 def _base():
@@ -117,11 +123,10 @@ def test_one_changed_coefficient_is_refused(key):
     q = _edit(_base(), key, RPoly.const(4, 1))
     assert _complexify(q) is None
     assert is_real_poisson(q) == is_poisson(RealBivector(4, q.comps))
-    assert real_modular_field(q) == modular_field(RealBivector(4, q.comps), VolumeForm(4))
 
 
 def test_an_entry_depending_on_y_is_refused():
-    # the y-terms pass the cheap y_j y_k check, but recovery drops them
+    # y1 is added to q^{x_1 x_2} and subtracted from q^{y_1 y_2}, as in Re of a bivector; recovery drops it
     y1 = RPoly.var(4, 3)
     q = _edit(_edit(_base(), (1, 2), y1), (3, 4), -y1)
     assert _complexify(q) is None

@@ -1,12 +1,12 @@
-"""A square convolves each unordered term pair once, with the pairwise product as reference.
+"""A sum of squares convolves each unordered term pair once, with the pairwise sum as reference.
 
-`poly._mul_into` takes a product of a polynomial with itself (`a is b`) of
-more than two terms through `_square`: each diagonal term once, each
-off-diagonal pair once at twice the factor, and the cross part ar * ai into
-the imaginary numerators once at twice the factor.  The reference is the
-same product against a second object with the same storage, which takes the
-pairwise convolution.  Both must give identical canonical storage, and the
-same insertion order of the numerator dicts.
+`_BasePoly._sum_squares(nvars, polys)` adds p * p over polys through
+`poly._square`: each diagonal term once, each off-diagonal pair once at twice
+the factor, and the cross part ar * ai into the imaginary numerators once at
+twice the factor.  The reference is `_sum` over the (1, p, p) items, which
+convolves every ordered pair through `_mul_into`.  Both must give identical
+canonical storage, and the same insertion order of the numerator dicts (the
+float evaluator sums the terms in that order).
 """
 
 import random
@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from holomult.poly import CPoly, RPoly
+from holomult.realify import _sum_of_squares, modsq
 from holomult.scalars import GaussianRational
 
 from conftest import random_cpoly
@@ -22,13 +23,13 @@ from conftest import random_cpoly
 I = GaussianRational(0, 1)
 
 
-def twin(p):
-    """A second object with p's storage: a product with it is never a square."""
-    return type(p)._trusted(p.nvars, p._re, p._im, p._den)
-
-
 def storage(p):
     return p.nvars, p._den, list(p._re.items()), list(p._im.items())
+
+
+def pairwise(polys):
+    ring = type(polys[0])
+    return ring._sum(polys[0].nvars, [(1, p, p) for p in polys])
 
 
 def _c(*terms):
@@ -56,36 +57,39 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_square_matches_the_pairwise_product(name):
+def test_one_square_matches_the_pairwise_sum(name):
     p = CASES[name]
-    assert storage(p * p) == storage(p * twin(p))
-    assert storage(type(p)._sum(2, [(1, p, p)])) == storage(type(p)._sum(2, [(1, p, twin(p))]))
-    q = p + type(p).var(2, 1)
-    for items, pairwise in (([(-1, p, p), (1, q)], [(-1, p, twin(p)), (1, q)]),
-                            ([(1, q), (-1, p, p), (1, q, q)], [(1, q), (-1, p, twin(p)), (1, q, twin(q))])):
-        assert storage(type(p)._sum(2, items)) == storage(type(p)._sum(2, pairwise))
+    square = type(p)._sum_squares(2, [p])
+    assert storage(square) == storage(pairwise([p]))
+    assert square == p * p
+    assert type(square) is type(p)
 
 
-@pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
-def test_power_matches_repeated_pairwise_products(name, k):
-    p = CASES[name]
-    reference = type(p).const(2, 1)
-    for _ in range(k):
-        reference = reference * twin(p)
-    assert p ** k == reference  # nvars, denominator and numerators
+SAME_RING = [(a, b) for a in CASES for b in CASES if type(CASES[a]) is type(CASES[b])]
+
+
+@pytest.mark.parametrize("first, second", SAME_RING)
+def test_two_squares_over_their_common_denominator(first, second):
+    p, q = CASES[first], CASES[second]
+    assert storage(type(p)._sum_squares(2, [p, q])) == storage(pairwise([p, q]))
 
 
 def test_cancelling_cross_terms_leave_no_entry():
     for name in ("cancelling-c", "cancelling-r"):
-        square = CASES[name] * CASES[name]
+        p = CASES[name]
+        square = type(p)._sum_squares(2, [p])
         assert (2, 2) not in square._re and (2, 2) not in square._im
 
 
-def test_drawn_squares_in_both_rings():
+def test_no_polynomial_is_the_zero():
+    assert storage(RPoly._sum_squares(3, [])) == storage(RPoly.zero(3))
+
+
+def test_drawn_sums_of_squares_in_both_rings():
     rng = random.Random(20261020)
     for _ in range(60):
         p = random_cpoly(rng, 3, max_degree=3, max_terms=7)
-        for poly in (p, *p.realify_split()):
-            assert storage(poly * poly) == storage(poly * twin(poly))
-            assert poly * poly == poly ** 2
+        re, im = p.realify_split()
+        assert storage(CPoly._sum_squares(3, [p])) == storage(pairwise([p]))
+        assert storage(_sum_of_squares(re, im)) == storage(pairwise([re, im]))
+        assert storage(modsq(p)) == storage(pairwise([re, im]))
