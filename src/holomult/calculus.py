@@ -30,13 +30,16 @@ increasing basis sets is +1) this convention satisfies
 `_contract` is the one sign rule: wedge and exterior derivative take the
 sign of a merged index set from it, flat and sharp move each component to
 the complement of its index set with its sign and apply one scale, and
-`component` reads an index set in any order with its sign.  Only
-`divergence` counts its own parity, as an independent route to the curl.
+`component` reads an index set in any order with its sign.  `_contract`
+and `_merge_indices` are pure functions of small index sets, and a bounded
+cache keeps each answer.  Only `divergence` counts its own parity, as an
+independent route to the curl.
 A result above grade n is empty and keeps its true grade.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .poly import CPoly, RPoly, _BasePoly
@@ -52,6 +55,7 @@ def _check_index_set(indices: IndexSet, grade: int, n: int):
         raise ValueError(f"index set {indices} out of range 1..{n}")
 
 
+@lru_cache(maxsize=4096)
 def _merge_indices(left: IndexSet, right: IndexSet):
     """Sort two increasing index sets together: (sign, merged), or None on a repeat.
 
@@ -63,6 +67,7 @@ def _merge_indices(left: IndexSet, right: IndexSet):
     return _contract(left, merged)[0], merged
 
 
+@lru_cache(maxsize=4096)
 def _contract(indices: IndexSet, target: IndexSet):
     """Remove each of `indices` from `target`, lowest first, each at sign (-1)^position.
 

@@ -23,12 +23,16 @@ Every other sum of products here is one kernel `_sum` or `_collect` call too.
 The Pfaffian and the triple divergences read signed `component()` copies
 only, so they stay independent routes of the checks.
 
-A `Bivector` computes its Jacobiator and its modular field once, in its
-private `_memo` slot.  That is safe because values are immutable and the
-volume weight cancels in the divergence (the dimension is still checked on
-every call).  Derived bivectors (`-p`, `p.scale(alpha)`, `p + q`) are new
-objects, a plain grade-2 `Multivector` is never memoized, and every
-cross-checked route is still computed.
+A `Bivector` computes its Jacobiator, its modular field and the
+Hamiltonian field of each polynomial object once, in its private `_memo`
+slot.  That is safe because values are immutable and the volume weight
+cancels in the divergence (the dimension is still checked on every call).
+A Hamiltonian field is kept under the id of its polynomial beside the
+polynomial itself, so the id cannot be reused while the entry lives.
+Derived bivectors (`-p`, `p.scale(alpha)`, `p + q`) are new objects, a
+plain grade-2 `Multivector` is never memoized, and every cross-checked
+route is still computed: route 3 of `bivector_lm_check` reads the
+Hamiltonian field of alpha, but routes 1 and 2 never do.
 """
 
 from __future__ import annotations
@@ -85,16 +89,16 @@ def poisson_bracket(f: CPoly, g: CPoly, p: Bivector) -> CPoly:
     return pairing(wedge(partial_d(f), partial_d(g)), p)
 
 
-def _memoized(p, name: str, compute):
-    """compute(), stored under name on a Bivector and read back on later calls."""
+def _memoized(p, key, compute):
+    """compute(), stored under key on a Bivector and read back on later calls."""
     if not isinstance(p, Bivector):
         return compute()
     memo = getattr(p, "_memo", None)
     if memo is None:  # also unset on objects built by calculus._wrap
         memo = p._memo = {}
-    if name not in memo:
-        memo[name] = compute()
-    return memo[name]
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def _check_grade(p: Multivector, name: str) -> None:
@@ -139,11 +143,14 @@ def hamiltonian_field(f: CPoly, p: Bivector) -> VectorField:
     """Field generating the bracket with f, the contraction of df into P.
 
     Component j is sum_i P^{ij} df/dz^i; zero partials are never stored, so never multiplied.
+    Computed once per `Bivector` and polynomial object.
     """
     _check_grade(p, "hamiltonian_field")
     if f.nvars != p.n:
         raise ValueError("dimension mismatch with bivector")
-    return interior_product(partial_d(f), p).to_field()
+    # the entry holds f, so no other object takes its id while the entry lives
+    return _memoized(p, ("hamiltonian", id(f)),
+                     lambda: (f, interior_product(partial_d(f), p).to_field()))[1]
 
 
 def modular_field(p: Bivector, omega: VolumeForm) -> VectorField:

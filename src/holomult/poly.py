@@ -8,15 +8,24 @@ Two concrete rings share one engine:
 A polynomial maps exponent tuples (one nonnegative int per variable) to
 nonzero coefficients; the zero polynomial has no terms.  The canonical term
 order is graded lexicographic with z1 > z2 > ... which makes exact division
-and serialization deterministic.
+and serialization deterministic.  The degree is at most 2^64 - 1.
 
 Values are immutable after construction (all operations return new objects),
 so they are safe to share between concurrent workers.
 
 Storage: integer numerators over one shared denominator.  A polynomial
-keeps two dicts `_re` and `_im` from monomials to Python ints and one int
-`_den`, and its coefficient at a monomial is (_re[m] + i*_im[m]) / _den,
-an absent key reading as 0.  An RPoly's `_im` is always empty.  Every
+keeps two dicts `_re` and `_im` from packed monomials to Python ints and one
+int `_den`, and its coefficient at a monomial is (_re[m] + i*_im[m]) / _den,
+an absent key reading as 0.  A monomial in n variables is packed by `_pack`
+into one int of n + 1 fields of `_B` = 64 bits, the degree above the
+exponents: deg << (n*_B) | e1 << ((n-1)*_B) | ... | en.  A product adds
+keys, a partial subtracts one, int order is graded-lex order, and `_unpack`
+gives the tuple back; only this module knows the layout.  No field carries
+while the degree stays below 2^_B: the public constructor refuses a larger
+degree, and `_mul_into` and `_sum_squares` refuse, before they convolve a
+term, operands whose largest keys (cached lazily in the `_top` slot) add
+past 1 << ((n+1)*_B).  A check on the result could not see a carry, since
+wrongly packed keys can cancel.  An RPoly's `_im` is always empty.  Every
 polynomial is in canonical form: `_den` is positive, the gcd of `_den` and
 every numerator is 1, no dict holds a zero, and the zero polynomial is
 ({}, {}, 1).  Equal polynomials therefore have identical storage, so `==`
@@ -40,13 +49,14 @@ the sum of squares behind the squared modulus, which convolves each
 unordered term pair of a square once.
 
 `terms` is a view, built once per polynomial on first read and cached:
-{monomial: coefficient} with `GaussianRational` values with `Fraction`
+{exponent tuple: coefficient} with `GaussianRational` values with `Fraction`
 parts for CPoly and `Fraction` values for RPoly.  `sorted_terms`,
 `leading`, exact evaluation and the readers outside this module use it;
 `format_poly` writes each coefficient from its numerators and the
 denominator, reduced by their gcd.  The public constructor `CPoly(n,
-terms)` / `RPoly(n, terms)` checks and coerces every term, keeps the clean
-dict as the view and derives the integer storage from it.
+terms)` / `RPoly(n, terms)` checks and coerces every term (each exponent
+through `operator.index`, so a non-integer one is a TypeError), keeps the
+clean dict as the view and derives the packed integer storage from it.
 Mixing the two rings in one operation is a TypeError.
 
 Float evaluation lives here too: `float_evaluator` compiles polynomials of
@@ -63,19 +73,41 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import add, sub
+from operator import index
 from typing import Dict, Tuple
 
 from .scalars import ZERO, GaussianRational, _make, rational_text
 
 Monomial = Tuple[int, ...]
-Part = Dict[Monomial, int]
+Part = Dict[int, int]  # packed monomial -> numerator
 
 _RZERO = Fraction(0)
 
+_B = 64  # bits per field of a packed monomial (see the module docstring)
+_FIELD = (1 << _B) - 1
+_MAX_DEGREE = _FIELD
+_DEGREE_LIMIT = f"polynomial degree exceeds the limit of {_MAX_DEGREE}"
 
-def _grlex_key(mono: Monomial):
-    return (sum(mono), mono)
+
+def _pack(mono: Monomial) -> int:
+    """The packed key of an exponent tuple of nonnegative ints, degree below 2^_B."""
+    key = sum(mono)
+    for e in mono:
+        key = key << _B | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Monomial:
+    """The exponent tuple of a packed key in n variables."""
+    return tuple([key >> shift & _FIELD for shift in range((n - 1) * _B, -1, -_B)])
+
+
+def _y_free(part: Part, n: int, k: int) -> Part:
+    """k times the terms of a part in x1..xn, y1..yn that hold no y, each keyed
+    as the monomial in n variables with x renamed z: y = 0 is the low n
+    fields, and the rest of the key is the z-key, since the degree is x's."""
+    low = (1 << n * _B) - 1
+    return {m >> n * _B: v * k for m, v in part.items() if not m & low}
 
 
 def _add_into(out: Part, part: Part, k: int) -> Part:
@@ -109,7 +141,7 @@ def _convolve(out: Part, p: Part, q: Part, k: int):
         if k != 1:
             c1 *= k
         for m2, c2 in right:
-            mono = tuple(map(add, m1, m2))
+            mono = m1 + m2
             out[mono] = get(mono, 0) + c1 * c2
 
 
@@ -119,17 +151,25 @@ def _square(out: Part, p: Part, k: int):
     items = list(p.items())
     k2 = 2 * k
     for idx, (m1, c1) in enumerate(items):
-        mono = tuple(map(add, m1, m1))
+        mono = m1 + m1
         out[mono] = get(mono, 0) + c1 * c1 * k
         c1 *= k2
         for m2, c2 in items[idx + 1:]:
-            mono = tuple(map(add, m1, m2))
+            mono = m1 + m2
             out[mono] = get(mono, 0) + c1 * c2
 
 
 def _mul_into(re: Part, im: Part, a: "_BasePoly", b: "_BasePoly", k: int):
     """Add k * a * b (k != 0) into the numerator dicts re and im, zeros included:
-    the one product routine, (ar + i ai)(br + i bi) skipping every empty part."""
+    the one product routine, (ar + i ai)(br + i bi) skipping every empty part.
+    It refuses, before any term is added, a product whose degree reaches 2^_B."""
+    top_a, top_b = a._top, b._top
+    if top_a is None:
+        top_a = a._lead()
+    if top_b is None:
+        top_b = b._lead()
+    if (top_a + top_b) >> (a.nvars + 1) * _B:
+        raise ValueError(_DEGREE_LIMIT)
     ar, ai, br, bi = a._re, a._im, b._re, b._im
     if ar and br:
         _convolve(re, ar, br, k)
@@ -145,19 +185,21 @@ def _nonzero(part: Part) -> Part:
     return {m: v for m, v in part.items() if v} if 0 in part.values() else part
 
 
-def _lower(part: Part, i: int) -> Part:
-    """Partial in variable i of one numerator part; lowering exponent i is
-    injective on the terms that keep it positive."""
+def _lower(part: Part, shift: int, step: int) -> Part:
+    """Partial of one numerator part in the variable whose field starts at bit
+    `shift`; `step` lowers that exponent and the degree by one, which is
+    injective on the terms that keep the exponent positive."""
     out = {}
     for mono, v in part.items():
-        e = mono[i]
+        e = mono >> shift & _FIELD
         if e:
-            out[mono[:i] + (e - 1,) + mono[i + 1:]] = v * e
+            out[mono - step] = v * e
     return out
 
 
 class _BasePoly:
-    __slots__ = ("nvars", "_re", "_im", "_den", "_view")
+    # _top: the largest packed key (0 for the zero polynomial), set on first use
+    __slots__ = ("nvars", "_re", "_im", "_den", "_view", "_top")
 
     def __init__(self, nvars: int, terms: Dict[Monomial, object] | None = None):
         if nvars < 0:
@@ -168,18 +210,25 @@ class _BasePoly:
             for mono, coeff in terms.items():
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} has wrong length for nvars={nvars}")
-                if any(e < 0 for e in mono):
+                try:
+                    exps = tuple(map(index, mono))
+                except TypeError:
+                    raise TypeError(f"monomial {mono} has a non-integer exponent") from None
+                if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in monomial {mono}")
+                if sum(exps) > _MAX_DEGREE:
+                    raise ValueError(_DEGREE_LIMIT)
                 coeff = self._coerce(coeff)
                 if coeff:
-                    clean[mono] = coeff
+                    clean[exps] = coeff
         # the least common denominator leaves no common factor with the numerators
-        ratios = {m: self._ratio(c) for m, c in clean.items()}
+        ratios = {_pack(m): self._ratio(c) for m, c in clean.items()}
         den = lcm(*(d for _, _, d in ratios.values()))
         self._re = {m: a * (den // d) for m, (a, _, d) in ratios.items() if a}
         self._im = {m: b * (den // d) for m, (_, b, d) in ratios.items() if b}
         self._den = den
         self._view = clean
+        self._top = None
 
     @classmethod
     def _trusted(cls, nvars: int, re: Part, im: Part, den: int = 1):
@@ -190,6 +239,7 @@ class _BasePoly:
         out._im = im
         out._den = den
         out._view = None
+        out._top = None
         return out
 
     @classmethod
@@ -262,9 +312,12 @@ class _BasePoly:
 
         Each square is (ar^2 - ai^2) + 2i ar ai, and `_square` takes each
         unordered term pair of ar and of ai once, so the values and the order of
-        the numerator dicts are those of `_sum` over the (1, p, p) items.
+        the numerator dicts are those of `_sum` over the (1, p, p) items.  A
+        square whose degree reaches 2^_B is refused before any is convolved.
         """
         polys = [p for p in polys if p._re or p._im]
+        if any((2 * p._lead()) >> (nvars + 1) * _B for p in polys):
+            raise ValueError(_DEGREE_LIMIT)
         den = lcm(*(p._den for p in polys))
         re: Part = {}
         im: Part = {}
@@ -322,17 +375,14 @@ class _BasePoly:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         a, b, d = cls._ratio(value)
-        mono = (0,) * nvars
-        return cls._trusted(nvars, {mono: a} if a else {}, {mono: b} if b else {}, d)
+        return cls._trusted(nvars, {0: a} if a else {}, {0: b} if b else {}, d)
 
     @classmethod
     def var(cls, nvars: int, index: int):
         """Polynomial for the index-th variable, 1-based."""
         if not 1 <= index <= nvars:
             raise IndexError(f"variable index {index} out of range 1..{nvars}")
-        mono = [0] * nvars
-        mono[index - 1] = 1
-        return cls._trusted(nvars, {tuple(mono): 1}, {})
+        return cls._trusted(nvars, {(1 << nvars * _B) + (1 << (nvars - index) * _B): 1}, {})
 
     # -- ring operations ----------------------------------------------------
 
@@ -426,32 +476,43 @@ class _BasePoly:
         """Formal partial derivative with respect to the 1-based variable."""
         if not 1 <= var_index <= self.nvars:
             raise IndexError(f"variable index {var_index} out of range 1..{self.nvars}")
-        i = var_index - 1
-        return self._reduced(self.nvars, _lower(self._re, i), _lower(self._im, i), self._den)
+        n = self.nvars
+        shift = (n - var_index) * _B
+        step = (1 << shift) + (1 << n * _B)
+        return self._reduced(n, _lower(self._re, shift, step), _lower(self._im, shift, step),
+                             self._den)
 
     def _keys(self):
-        """Each monomial with a nonzero coefficient, once."""
+        """Each packed monomial with a nonzero coefficient, once."""
         re, im = self._re, self._im
         return chain(re, (m for m in im if m not in re))
 
     def _monomials(self):
-        """Monomials in decreasing graded-lex order."""
-        return sorted(self._keys(), key=_grlex_key, reverse=True)
+        """Packed monomials in decreasing graded-lex order."""
+        return sorted(self._keys(), reverse=True)
 
-    def _lead(self) -> Monomial:
-        return max(self._keys(), key=_grlex_key)
+    def _lead(self) -> int:
+        """The largest packed monomial, the graded-lex leading one (0 for zero)."""
+        top = self._top
+        if top is None:
+            re, im = self._re, self._im
+            top = max(re) if re else 0
+            if im:
+                top = max(top, max(im))
+            self._top = top
+        return top
 
     def leading(self):
         """(monomial, coefficient) that is largest in graded-lex order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        mono = self._lead()
+        mono = _unpack(self._lead(), self.nvars)
         return mono, self.terms[mono]
 
     def sorted_terms(self):
         """Terms in decreasing graded-lex order (canonical serialization order)."""
-        terms = self.terms
-        return [(m, terms[m]) for m in self._monomials()]
+        terms, n = self.terms, self.nvars
+        return [(mono, terms[mono]) for mono in (_unpack(m, n) for m in self._monomials())]
 
     def evaluate(self, point):
         """Evaluate at one floating-point point: a complex for CPoly, a float for RPoly."""
@@ -490,11 +551,13 @@ class _BasePoly:
         norm, dden = dr * dr + di * di, divisor._den
         queue = self
         pieces = []
+        shifts = range(0, nvars * _B, _B)
         while queue:
             rm = queue._lead()
-            diff = tuple(map(sub, rm, dm))
-            if any(e < 0 for e in diff):
+            # divisible when no exponent of rm is below dm's (the degree follows)
+            if any(rm >> s & _FIELD < dm >> s & _FIELD for s in shifts):
                 return None
+            diff = rm - dm
             r, s = queue._re.get(rm, 0), queue._im.get(rm, 0)
             qr, qi = (r * dr + s * di) * dden, (s * dr - r * di) * dden
             piece = self._reduced(nvars, {diff: qr} if qr else {}, {diff: qi} if qi else {},
@@ -525,8 +588,8 @@ class CPoly(_BasePoly):
     _float = complex  # the type float evaluation returns
 
     def _build_view(self):
-        re, im, den = self._re, self._im, self._den
-        return {m: _make(Fraction(re.get(m, 0), den), Fraction(im.get(m, 0), den))
+        re, im, den, n = self._re, self._im, self._den, self.nvars
+        return {_unpack(m, n): _make(Fraction(re.get(m, 0), den), Fraction(im.get(m, 0), den))
                 for m in self._keys()}
 
     def conjugate(self) -> "CPoly":
@@ -540,31 +603,27 @@ class CPoly(_BasePoly):
         c * prod_k z_k^e_k expands by the binomial theorem to
         sum_j c * prod_k C(e_k, j_k) * i^(sum j) * x^(e - j) * y^j, and each
         xy-monomial comes from exactly one z-monomial (e = (x exps) + (y exps)).
+        The degree is kept, so each xy key is the z degree's field plus the
+        shifted x and y exponents.
         """
         n = self.nvars
         re, im = self._re, self._im
         out_re: Part = {}
         out_im: Part = {}
-        zeros = (0,) * n
         for mono in self._keys():
             r, s = re.get(mono, 0), im.get(mono, 0)
-            # (x exps, y exps, binomial product, power of i) up to the last
-            # nonzero exponent; only nonzero exponents expand, each zero run
-            # between them is one slice of `zeros`
-            expanded = [((), (), 1, 0)]
-            done = 0
-            for k, e in enumerate(mono):
+            # (xy key, binomial product, power of i); only nonzero exponents expand
+            expanded = [(mono >> n * _B << 2 * n * _B, 1, 0)]
+            for k in range(n):
+                e = mono >> (n - 1 - k) * _B & _FIELD
                 if e:
-                    run = zeros[:k - done]
-                    steps = [(run + (e - j,), run + (j,), comb(e, j), j) for j in range(e + 1)]
-                    expanded = [(xs + dx, ys + dy, c * b, q + j)
-                                for xs, ys, c, q in expanded for dx, dy, b, j in steps]
-                    done = k + 1
-            tail = zeros[:n - done]
-            for xs, ys, c, q in expanded:
+                    xs, ys = (2 * n - 1 - k) * _B, (n - 1 - k) * _B
+                    steps = [(((e - j) << xs) + (j << ys), comb(e, j), j) for j in range(e + 1)]
+                    expanded = [(m + dm, c * b, q + j)
+                                for m, c, q in expanded for dm, b, j in steps]
+            for m, c, q in expanded:
                 # i^q (r + i s): multiplying by i sends (r, s) to (-s, r)
                 a, b = ((r, s), (-s, r), (-r, -s), (s, -r))[q & 3]
-                m = xs + tail + ys + tail
                 if a:
                     out_re[m] = c * a
                 if b:
@@ -598,7 +657,8 @@ class RPoly(_BasePoly):
     _float = float  # the type float evaluation returns
 
     def _build_view(self):
-        return {m: Fraction(v, self._den) for m, v in self._re.items()}
+        den, n = self._den, self.nvars
+        return {_unpack(m, n): Fraction(v, den) for m, v in self._re.items()}
 
     def format(self, names=None) -> str:
         return format_poly(self, names or default_xy_names(self.nvars))
@@ -623,8 +683,8 @@ def float_evaluator(polys):
     for p in polys[1:]:
         first._check_compatible(p)
     nvars, kind = first.nvars, first._float
-    monos = sorted({m for p in polys for m in p._keys()}, key=_grlex_key, reverse=True)
-    exps = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    monos = sorted({m for p in polys for m in p._keys()}, reverse=True)
+    exps = np.array([_unpack(m, nvars) for m in monos], dtype=np.int64).reshape(len(monos), nvars)
     if kind is complex:
         rows = [[complex(p._re.get(m, 0) / p._den, p._im.get(m, 0) / p._den) for p in polys]
                 for m in monos]
@@ -685,9 +745,10 @@ def format_poly(p: _BasePoly, names) -> str:
         return "0"
     re, im, den = p._re, p._im, p._den
     pieces = []
-    for mono in p._monomials():
-        factors = [name if e == 1 else f"({name})^{e}" for name, e in zip(names, mono) if e]
-        ctxt = _coeff_text(re.get(mono, 0), im.get(mono, 0), den)
+    for key in p._monomials():
+        factors = [name if e == 1 else f"({name})^{e}"
+                   for name, e in zip(names, _unpack(key, p.nvars)) if e]
+        ctxt = _coeff_text(re.get(key, 0), im.get(key, 0), den)
         if not factors:
             body = ctxt
         elif ctxt == "1":
@@ -707,7 +768,9 @@ def format_poly(p: _BasePoly, names) -> str:
 
 
 def poly_summary(p: _BasePoly, limit: int = 3) -> str:
-    """Short residual description: '0' or the first few leading terms."""
+    """Short residual description: '0' or the first `limit` (at least 1) leading terms."""
+    if limit < 1:
+        raise ValueError(f"poly_summary needs a limit of at least 1, got {limit}")
     if p.is_zero():
         return "0"
     monos = p._monomials()

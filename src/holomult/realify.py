@@ -34,7 +34,7 @@ from .calculus import (
 from .linsolve import _inverse
 from .metric import HoloMetric, _raise_index
 from .poisson import Bivector, hamiltonian_field, is_poisson, modular_field, self_multiplier_residual
-from .poly import CPoly, RPoly, _BasePoly
+from .poly import CPoly, RPoly, _BasePoly, _y_free
 
 
 def _realified(n: int, grade: int, splits, factor):
@@ -227,13 +227,13 @@ def _complexify(q) -> Bivector | None:
     if not isinstance(q, RealBivector) or q.n % 2 or q.n < 4:
         return None
     n, comps = q.n // 2, q.comps
-    zero, flat = RPoly.zero(q.n), (0,) * n
+    zero = RPoly.zero(q.n)
     quarters = {}  # P^{jk} / 4, whose realification at factor 4 needs no scaling
     for j, k in combinations(range(1, n + 1), 2):
         xx, xy = comps.get((j, k), zero), comps.get((j, k + n), zero)
         den = lcm(xx._den, xy._den)
-        re = {m[:n]: v * (den // xx._den) for m, v in xx._re.items() if m[n:] == flat}
-        im = {m[:n]: v * (den // xy._den) for m, v in xy._re.items() if m[n:] == flat}
+        re = _y_free(xx._re, n, den // xx._den)
+        im = _y_free(xy._re, n, den // xy._den)
         if re or im:
             quarters[(j, k)] = CPoly._reduced(n, re, im, den)
     splits = {key: entry.realify_split() for key, entry in quarters.items()}

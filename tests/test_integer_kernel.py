@@ -2,7 +2,9 @@
 
 A polynomial stores Gaussian-integer numerators (`_re`, `_im`) over one
 positive denominator `_den`, reduced so that the gcd of the denominator and
-every numerator is 1.  These tests check that canonical form directly:
+every numerator is 1; each monomial is one packed int key, read and written
+here through the kernel's own `_pack` and `_unpack`.  These tests check that
+canonical form directly:
 
 * results equal the old Fraction-valued `*`, `+` and `diff` (kept below as
   the reference, built through the validating public constructor) down to
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 import holomult.poly
 import holomult.scalars
-from holomult.poly import CPoly, RPoly
+from holomult.poly import CPoly, RPoly, _pack, _unpack
 from holomult.scalars import GaussianRational
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -101,7 +103,8 @@ def assert_canonical(p):
     assert type(p._den) is int and p._den > 0
     for part in (p._re, p._im):
         assert all(type(v) is int and v for v in part.values())
-        assert all(len(m) == p.nvars for m in part)
+        # every key is a well-formed packed monomial in nvars variables
+        assert all(type(m) is int and _pack(_unpack(m, p.nvars)) == m for m in part)
     assert gcd(p._den, *p._re.values(), *p._im.values()) == 1
     if type(p) is RPoly:
         assert p._im == {}
@@ -151,19 +154,20 @@ def test_equal_polynomials_from_different_routes_share_storage(pq):
 def test_canonical_form_examples():
     z1, z2 = CPoly.var(2, 1), CPoly.var(2, 2)
     half = (z1 * z1).scale(Fraction(1, 2))
-    assert (half._re, half._im, half._den) == ({(2, 0): 1}, {}, 2)
+    z1z1, z1_, z2_, z1z2 = _pack((2, 0)), _pack((1, 0)), _pack((0, 1)), _pack((1, 1))
+    assert (half._re, half._im, half._den) == ({z1z1: 1}, {}, 2)
     # the partial 2*z1/2 is reduced to z1 over 1
-    assert (half.diff(1)._re, half.diff(1)._den) == ({(1, 0): 1}, 1)
+    assert (half.diff(1)._re, half.diff(1)._den) == ({z1_: 1}, 1)
     # a Gaussian content (1 + i)/3 keeps its integer parts
     p = (z1 + z2).scale(GaussianRational(Fraction(1, 3), Fraction(1, 3)))
-    assert (p._re, p._im, p._den) == ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}, 3)
+    assert (p._re, p._im, p._den) == ({z1_: 1, z2_: 1}, {z1_: 1, z2_: 1}, 3)
     # mixed denominators meet at their least common multiple
     q = z1.scale(Fraction(1, 4)) + z2.scale(Fraction(1, 6))
-    assert (q._re, q._den) == ({(1, 0): 3, (0, 1): 2}, 12)
+    assert (q._re, q._den) == ({z1_: 3, z2_: 2}, 12)
     # a large denominator cancels exactly
     big = 10**40 + 7
     r = z1.scale(Fraction(big, 3)) * z2.scale(Fraction(3, big))
-    assert (r._re, r._im, r._den) == ({(1, 1): 1}, {}, 1)
+    assert (r._re, r._im, r._den) == ({z1z2: 1}, {}, 1)
     # a CPoly with real coefficients equals the RPoly with the same terms
     x = RPoly.var(2, 1).scale(Fraction(1, 4)) + RPoly.var(2, 2).scale(Fraction(1, 6))
     assert q == x and hash(q) == hash(x)
@@ -179,15 +183,17 @@ def test_view_values_have_the_ring_types(pq):
     assert product.terms is view  # built once
     for mono, c in view.items():
         assert c
+        key = _pack(mono)
         if type(p) is CPoly:
             assert type(c) is GaussianRational
             assert type(c.re) is Fraction and type(c.im) is Fraction
-            assert c == GaussianRational(Fraction(product._re.get(mono, 0), product._den),
-                                         Fraction(product._im.get(mono, 0), product._den))
+            assert c == GaussianRational(Fraction(product._re.get(key, 0), product._den),
+                                         Fraction(product._im.get(key, 0), product._den))
         else:
             assert type(c) is Fraction
-            assert c == Fraction(product._re[mono], product._den)
-    assert set(view) == set(product._re) | set(product._im)
+            assert c == Fraction(product._re[key], product._den)
+    # the view's keys are the storage keys unpacked
+    assert set(view) == {_unpack(m, p.nvars) for m in (*product._re, *product._im)}
 
 
 @contextmanager

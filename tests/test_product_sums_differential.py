@@ -34,7 +34,7 @@ from holomult.poisson import (
     pfaffian4,
     poisson_bracket,
 )
-from holomult.poly import CPoly, RPoly, _BasePoly
+from holomult.poly import CPoly, RPoly, _BasePoly, _pack, _unpack
 from holomult.realify import realify_poisson
 from holomult.scalars import GaussianRational
 
@@ -103,25 +103,32 @@ def ref_inverse_from_frame(frame, structure, field, omega):
     return beta
 
 
+def ref_lead(p):
+    """The graded-lex largest exponent tuple, read through the kernel's `_unpack`."""
+    return max((_unpack(m, p.nvars) for m in (*p._re, *p._im)), key=lambda m: (sum(m), m))
+
+
 def ref_divide_exact(self, divisor):
+    """The earlier division on exponent tuples; storage keys go through `_pack`."""
     self._check_compatible(divisor)
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     nvars = self.nvars
-    dm = divisor._lead()
-    dr, di = divisor._re.get(dm, 0), divisor._im.get(dm, 0)
+    dm = ref_lead(divisor)
+    dr, di = divisor._re.get(_pack(dm), 0), divisor._im.get(_pack(dm), 0)
     # 1 / ((dr + i di) / den) == (dr - i di) * den / norm
     norm, dden = dr * dr + di * di, divisor._den
     queue = self
     pieces = []
     while queue:
-        rm = queue._lead()
+        rm = ref_lead(queue)
         diff = tuple(map(sub, rm, dm))
         if any(e < 0 for e in diff):
             return None
-        r, s = queue._re.get(rm, 0), queue._im.get(rm, 0)
+        r, s = queue._re.get(_pack(rm), 0), queue._im.get(_pack(rm), 0)
         qr, qi = (r * dr + s * di) * dden, (s * dr - r * di) * dden
-        piece = self._reduced(nvars, {diff: qr} if qr else {}, {diff: qi} if qi else {},
+        key = _pack(diff)
+        piece = self._reduced(nvars, {key: qr} if qr else {}, {key: qi} if qi else {},
                               queue._den * norm)
         pieces.append((1, piece))
         queue = queue - piece * divisor

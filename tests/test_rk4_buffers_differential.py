@@ -18,7 +18,7 @@ import pytest
 from holomult.calculus import RealVectorField
 from holomult.manifest import parse_field
 from holomult.numcheck import SplitMix64, integrate, sample_points
-from holomult.poly import CPoly, RPoly, _grlex_key, float_evaluator
+from holomult.poly import CPoly, RPoly, _pack, _unpack, float_evaluator
 from holomult.realify import realify_field
 from holomult.scalars import GaussianRational
 
@@ -26,16 +26,22 @@ from holomult.scalars import GaussianRational
 
 
 def ref_evaluator(polys):
-    """The allocating evaluator: one new array per numpy call."""
+    """The allocating evaluator: one new array per numpy call.
+
+    It orders exponent tuples by their graded-lex key and reads each
+    numerator at the tuple's packed key through the kernel's `_pack`.
+    """
     first = polys[0]
     nvars, kind = first.nvars, first._float
-    monos = sorted({m for p in polys for m in p._keys()}, key=_grlex_key, reverse=True)
+    monos = sorted({_unpack(m, nvars) for p in polys for m in p._keys()},
+                   key=lambda mono: (sum(mono), mono), reverse=True)
     exps = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    keys = [_pack(m) for m in monos]
     if kind is complex:
         rows = [[complex(p._re.get(m, 0) / p._den, p._im.get(m, 0) / p._den) for p in polys]
-                for m in monos]
+                for m in keys]
     else:
-        rows = [[p._re.get(m, 0) / p._den for p in polys] for m in monos]
+        rows = [[p._re.get(m, 0) / p._den for p in polys] for m in keys]
     coeffs = np.array(rows, dtype=kind).reshape(len(monos), len(polys))
 
     def evaluate(points):

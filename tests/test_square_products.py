@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from holomult.poly import CPoly, RPoly
+from holomult.poly import CPoly, RPoly, _pack
 from holomult.realify import _sum_of_squares, modsq
 from holomult.scalars import GaussianRational
 
@@ -78,7 +78,10 @@ def test_cancelling_cross_terms_leave_no_entry():
     for name in ("cancelling-c", "cancelling-r"):
         p = CASES[name]
         square = type(p)._sum_squares(2, [p])
-        assert (2, 2) not in square._re and (2, 2) not in square._im
+        # storage keys are packed monomials: z1^4 is held, z1^2 z2^2 is not
+        assert _pack((4, 0)) in square._re
+        assert _pack((2, 2)) not in square._re and _pack((2, 2)) not in square._im
+        assert (2, 2) not in square.terms
 
 
 def test_no_polynomial_is_the_zero():
