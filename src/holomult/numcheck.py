@@ -6,10 +6,22 @@ and 0x94D049BB133111EB, shifts 30/27/31); uniform doubles come from the top
 53 bits, so any implementation of the same generator samples identical
 points.  `sample_points` takes all of its draws in one uint64 array pass,
 which gives the scalar generator's draws exactly.  Float evaluation goes
-through `poly.float_evaluator`; RK4 runs its stages in arrays allocated once
-per call, through the evaluator's `out=` form, with the same numpy
-operations in the same order as the plain stage expressions, so each state
-is the same float.
+through `poly.float_evaluator`.
+
+RK4 reads the evaluator's compiled (exponent, coefficient) matrices and does
+all of its set-up once per run: each call owns its buffers (the slopes, a
+stage point, the slope sum, the right-hand side's powers and monomials), so
+the evaluator keeps none and stays safe to share.  Each right-hand side is
+the evaluator's three numpy operations (power, product reduction, matmul)
+with positional `out`, and the stage constants step/2, step, step/6 and 2.0
+are length-n arrays, since a Python float operand costs each ufunc a
+conversion.  Every stage keeps the operations, in their order, of the plain
+stage expressions, so each state is the same float.  The rows are checked
+for finiteness once per block of `_BLOCK` steps and at the last step, and
+the run ends before the first row that is not finite.  That is the row where
+a check at every step would have stopped: a coordinate that is inf or nan
+stays so under state + (step/6)*total, so the rows after it are not finite
+either.
 
 numpy is loaded on first use: each function that needs it imports it
 locally, so importing this module (and `holomult`) does not load it.
@@ -29,6 +41,7 @@ _MASK = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 MAX_STEPS = 10**6  # RK4 keeps every state, so t_end / step is bounded
+_BLOCK = 32  # RK4 checks its rows for finiteness once per this many steps
 
 
 class SplitMix64:
@@ -90,35 +103,42 @@ def integrate(field: RealVectorField, x0: Sequence[float], t_end: float, step: f
         raise ValueError(f"initial state must have {field.n} coordinates")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    rhs = float_evaluator(field.components)
+    exps, coeffs = float_evaluator(field.components).matrices
     nsteps = int(round(ratio))
     n = field.n
     states = np.empty((nsteps + 1, n))
     states[0] = state = x0
-    # the four slopes, a stage point and the slope sum, reused by every step;
     # each stage is the expression state + (0.5*step)*k1 etc. operation for
     # operation, so the states are the floats the plain expressions give
-    k1, k2, k3, k4, stage, total = np.empty((6, n))
-    finite = np.empty(n, dtype=bool)
-    half, sixth = 0.5 * step, step / 6.0
-    add, mul = np.add, np.multiply
-    k = 0
+    k1, k2, k3, k4, stage, total, half, full, sixth, two = np.empty((10, n))
+    half[:], full[:], sixth[:], two[:] = 0.5 * step, step, step / 6.0, 2.0
+    powers, monomials = np.empty(exps.shape), np.empty(len(exps))
+    add, mul, power, reduce, matmul = np.add, np.multiply, np.power, np.multiply.reduce, np.matmul
+
+    def rhs(point, out):  # the evaluator's three operations, into the run's buffers
+        power(point, exps, powers)
+        reduce(powers, -1, None, monomials)
+        matmul(monomials, coeffs, out)
+
+    k = checked = 0  # rows 1..checked are known finite
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected, not raised
-        while k < nsteps:
-            rhs(state, out=k1)
-            rhs(add(state, mul(half, k1, out=stage), out=stage), out=k2)
-            rhs(add(state, mul(half, k2, out=stage), out=stage), out=k3)
-            rhs(add(state, mul(step, k3, out=stage), out=stage), out=k4)
+        for k, row in enumerate(states[1:], 1):
+            rhs(state, k1)
+            rhs(add(state, mul(half, k1, stage), stage), k2)
+            rhs(add(state, mul(half, k2, stage), stage), k3)
+            rhs(add(state, mul(full, k3, stage), stage), k4)
             # state + (step/6) * (((k1 + 2*k2) + 2*k3) + k4), written into the next row
-            add(k1, mul(2.0, k2, out=total), out=total)
-            add(total, mul(2.0, k3, out=stage), out=total)
-            add(total, k4, out=total)
-            row = states[k + 1]
-            add(state, mul(sixth, total, out=total), out=row)
-            if not np.isfinite(row, out=finite).all():
-                break  # the row is left out of the trajectory below
-            k += 1
+            add(k1, mul(two, k2, total), total)
+            add(total, mul(two, k3, stage), total)
+            add(total, k4, total)
+            add(state, mul(sixth, total, total), row)
             state = row
+            if k % _BLOCK == 0 or k == nsteps:
+                finite = np.isfinite(states[checked + 1 : k + 1]).all(axis=1)
+                if not finite.all():  # end the run before the first row that is not finite
+                    k = checked + int(finite.argmin())
+                    break
+                checked = k
     return Trajectory(np.arange(k + 1) * step, states[: k + 1], k < nsteps)
 
 

@@ -20,7 +20,9 @@ an absent key reading as 0.  A monomial in n variables is packed by `_pack`
 into one int of n + 1 fields of `_B` = 64 bits, the degree above the
 exponents: deg << (n*_B) | e1 << ((n-1)*_B) | ... | en.  A product adds
 keys, a partial subtracts one, int order is graded-lex order, and `_unpack`
-gives the tuple back; only this module knows the layout.  No field carries
+gives the tuple back, reading the key's bytes with one `struct` call (a
+`Struct` of n + 1 big-endian 64-bit fields, cached per n) and dropping the
+degree field; only this module knows the layout.  No field carries
 while the degree stays below 2^_B: the public constructor refuses a larger
 degree, and `_mul_into` and `_sum_squares` refuse, before they convolve a
 term, operands whose largest keys (cached lazily in the `_top` slot) add
@@ -62,18 +64,25 @@ Mixing the two rings in one operation is a TypeError.
 Float evaluation lives here too: `float_evaluator` compiles polynomials of
 one ring to an exponent matrix and a coefficient matrix once, straight from
 the numerators (n / den is correctly rounded, so each coefficient is the
-same double as float(Fraction(n, den))), and `evaluate`, the RK4
-right-hand side, drift and residual sampling in `numcheck` all run through
-it; RK4 passes each slope's array as `out=`.  Exact evaluation is
+same double as float(Fraction(n, den))), and `evaluate`, drift and residual
+sampling in `numcheck` all run through it.  The exponent matrix is float64:
+numpy casts int64 exponents to float64 for every power anyway, so the values
+are the same in both rings.  The compiled function exposes the pair as its
+`matrices`, and RK4 runs the same three operations on them into buffers of
+its own.  What a float cannot hold is refused with ValueError naming the
+limit: a coefficient whose n / den overflows a float, and any exponent above
+2^53, past which a float64 exponent loses its parity.  Exact evaluation is
 `evaluate_exact`, in either ring.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import index
+from sys import float_info
 from typing import Dict, Tuple
 
 from .scalars import ZERO, GaussianRational, _make, rational_text
@@ -97,9 +106,16 @@ def _pack(mono: Monomial) -> int:
     return key
 
 
+_UNPACKERS = {}  # n -> the unpack method of a Struct of n + 1 big-endian 64-bit fields
+
+
 def _unpack(key: int, n: int) -> Monomial:
-    """The exponent tuple of a packed key in n variables."""
-    return tuple([key >> shift & _FIELD for shift in range((n - 1) * _B, -1, -_B)])
+    """The exponent tuple of a packed key in n variables: its bytes read as n + 1
+    unsigned 64-bit fields (so _B must be 64) in one C call, the degree dropped."""
+    unpack = _UNPACKERS.get(n)
+    if unpack is None:
+        unpack = _UNPACKERS[n] = struct.Struct(f">{n + 1}Q").unpack
+    return unpack(key.to_bytes(8 * n + 8, "big"))[1:]
 
 
 def _y_free(part: Part, n: int, k: int) -> Part:
@@ -664,6 +680,9 @@ class RPoly(_BasePoly):
         return format_poly(self, names or default_xy_names(self.nvars))
 
 
+_MAX_FLOAT_EXPONENT = 2**53  # every exponent up to it is an exact float64, parity included
+
+
 def float_evaluator(polys):
     """Compile polynomials of one ring and variable count to one float function.
 
@@ -673,7 +692,11 @@ def float_evaluator(polys):
     monomials are summed in decreasing graded-lex order, so equal polynomials
     give identical floats.  Given `out`, an array of the values' shape, it
     writes the values there and returns it; the floats are the same either
-    way.  numpy is loaded on first use, so the exact layers never import it.
+    way.  Its `matrices` attribute is the compiled pair (exponents, a float64
+    M x nvars array, and coefficients, M x len(polys)), which the caller must
+    not write.  A coefficient outside the float range or an exponent above
+    2^53 is refused with ValueError.  numpy is loaded on first use, so the
+    exact layers never import it.
     """
     import numpy as np
 
@@ -684,12 +707,22 @@ def float_evaluator(polys):
         first._check_compatible(p)
     nvars, kind = first.nvars, first._float
     monos = sorted({m for p in polys for m in p._keys()}, reverse=True)
-    exps = np.array([_unpack(m, nvars) for m in monos], dtype=np.int64).reshape(len(monos), nvars)
-    if kind is complex:
-        rows = [[complex(p._re.get(m, 0) / p._den, p._im.get(m, 0) / p._den) for p in polys]
-                for m in monos]
-    else:
-        rows = [[p._re.get(m, 0) / p._den for p in polys] for m in monos]
+    tuples = [_unpack(m, nvars) for m in monos]
+    # the first key has the largest degree, which bounds every exponent
+    if monos and monos[0] >> nvars * _B > _MAX_FLOAT_EXPONENT \
+            and max(chain.from_iterable(tuples)) > _MAX_FLOAT_EXPONENT:
+        raise ValueError(f"float evaluation needs exponents of at most 2^53 = {_MAX_FLOAT_EXPONENT}")
+    # exact int64 exponents would be cast to float64 by every power anyway
+    exps = np.array(tuples, dtype=float).reshape(len(monos), nvars)
+    try:
+        if kind is complex:
+            rows = [[complex(p._re.get(m, 0) / p._den, p._im.get(m, 0) / p._den) for p in polys]
+                    for m in monos]
+        else:
+            rows = [[p._re.get(m, 0) / p._den for p in polys] for m in monos]
+    except OverflowError:
+        raise ValueError(f"float evaluation needs coefficients of at most {float_info.max!r}"
+                         " in absolute value") from None
     coeffs = np.array(rows, dtype=kind).reshape(len(monos), len(polys))
 
     def evaluate(points, out=None):
@@ -700,6 +733,7 @@ def float_evaluator(polys):
         monomials = np.multiply.reduce(points[..., None, :] ** exps, axis=-1)
         return np.matmul(monomials, coeffs, out=out)
 
+    evaluate.matrices = exps, coeffs
     return evaluate
 
 

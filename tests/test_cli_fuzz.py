@@ -185,6 +185,7 @@ def one_shot_argv(draw):
 @given(one_shot_argv())
 @example(["integrate", "--dim", "1", "--field", "z1", "--t-end", "inf"])
 @example(["integrate", "--dim", "1", "--field", "z1", "--t-end", "nan"])
+@example(["integrate", "--dim", "1", "--field", "10^400*z1"])
 @example(["div", "--dim", "1", "--field", "(" * 101 + "z1" + ")" * 101])
 @example(["div", "--dim", "1", "--field", "z1^1001"])
 @example(["div", "--dim", "1", "--field", "9" * 5000 + "*z1"])
