@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .poly import CPoly, RPoly, _BasePoly
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 
 IndexSet = Tuple[int, ...]
 
@@ -434,7 +434,8 @@ def _dual(obj, kind, n: int, factor):
     """The `kind` object with each component of obj at the complement of its
     index set in (1..n), signed by `_contract` taking the set out, times factor.
 
-    A polynomial is the grade-0 component at ().
+    A polynomial is the grade-0 component at ().  A factor of 1 scales
+    nothing, so each component moves as the object it is (or its negation).
     """
     if isinstance(obj, _BasePoly):
         comps, dim, grade, ring = {(): obj}, obj.nvars, 0, type(obj)
@@ -446,7 +447,8 @@ def _dual(obj, kind, n: int, factor):
         raise ValueError("dimension mismatch with volume form")
     full = tuple(range(1, n + 1))
     terms = [(_contract(key, full), poly) for key, poly in comps.items()]
-    return _collect(kind, n, n - grade, ring, terms).scale(factor)
+    moved = _collect(kind, n, n - grade, ring, terms)
+    return moved if factor == ONE else moved.scale(factor)
 
 
 def flat(a, omega: VolumeForm):

@@ -20,8 +20,15 @@ entry.  The Jacobiator, the two fields and the exactness and multiplier
 checks read every key as a pair, so each refuses any grade but 2.  Nothing
 here assumes the bivector is Poisson: the Jacobi test is itself an operation.
 Every other sum of products here is one kernel `_sum` or `_collect` call too.
-The Pfaffian and the triple divergences read signed `component()` copies
-only, so they stay independent routes of the checks.
+
+The componentwise route of `exactness_check` needs the divergences of the
+triple products P^{li}P^{jk} + P^{lj}P^{ki} + P^{lk}P^{ij} (l outside the
+triple i, j, k).  Each is the Pfaffian of the 4-set {l, i, j, k} times the
+sign of sorting (l, i, j, k), so `_triple_divergence_zero` builds each
+4-set's Pfaffian once, as three products of the stored upper-triangular
+entries, and sums each triple's signed l-partials of Pfaffians.  It and
+`pfaffian4` read the stored entries only, never `_contract`, so they stay
+independent routes of the checks.
 
 A `Bivector` computes its Jacobiator, its modular field and the
 Hamiltonian field of each polynomial object once, in its private `_memo`
@@ -229,17 +236,40 @@ def exactness_check(p: Bivector, omega: VolumeForm) -> ExactnessResult:
 
 
 def _triple_divergence_zero(p: Bivector) -> bool:
-    """Divergence of the triple products P^{li}P^{jk} + P^{lj}P^{ki} + P^{lk}P^{ij}:
-    one signed sum of the three products per l, and one of their l-partials per triple."""
-    n, entry = p.n, p.component
+    """Do the divergences of the triple products P^{li}P^{jk} + P^{lj}P^{ki} + P^{lk}P^{ij} vanish?
+
+    For l outside the triple (i, j, k) the triple product is the Pfaffian of
+    the 4-set {l, i, j, k} times the sign of sorting (l, i, j, k), and that
+    sign is (-1)^(number of i, j, k below l).  So each triple's divergence is
+    one signed sum of l-partials of Pfaffians, and each 4-set's Pfaffian is
+    built once, when a triple first needs it, from the stored entries.  The
+    first triple whose sum is not zero ends the route.
+    """
+    n, ring = p.n, p.ring
+    pfaffians = {}
     for triple in combinations(range(1, n + 1), 3):
-        i, j, k = triple
-        cyclic = ((i, j, k), (j, k, i), (k, i, j))
-        partials = [(1, p.ring._sum(n, [(1, entry(l, a), entry(b, c)) for a, b, c in cyclic]).diff(l))
-                    for l in range(1, n + 1) if l not in triple]
-        if p.ring._sum(n, partials):
+        partials = []
+        for l in range(1, n + 1):
+            if l in triple:
+                continue
+            quad = tuple(sorted(triple + (l,)))
+            pf = pfaffians.get(quad)
+            if pf is None:
+                pf = pfaffians[quad] = _pfaffian(p, quad)
+            below = (triple[0] < l) + (triple[1] < l) + (triple[2] < l)
+            partials.append((-1 if below % 2 else 1, pf.diff(l)))
+        if ring._sum(n, partials):
             return False
     return True
+
+
+def _pfaffian(p: Bivector, quad: Tuple[int, int, int, int]) -> CPoly:
+    """P^{ab}P^{cd} - P^{ac}P^{bd} + P^{ad}P^{bc} for a < b < c < d, from the stored entries."""
+    a, b, c, d = quad
+    get, zero = p.comps.get, p.ring.zero(p.n)
+    return p.ring._sum(p.n, ((1, get((a, b), zero), get((c, d), zero)),
+                             (-1, get((a, c), zero), get((b, d), zero)),
+                             (1, get((a, d), zero), get((b, c), zero))))
 
 
 def bivector_lm_check(alpha: CPoly, p: Bivector, omega: VolumeForm) -> Check:
@@ -287,8 +317,7 @@ def pfaffian4(p: Bivector) -> CPoly:
     """Rank certificate on C^4: zero exactly when the rank is at most two."""
     if p.n != 4:
         raise ValueError("Pfaffian shortcut is specific to dimension 4")
-    c = p.component
-    return p.ring._sum(4, ((1, c(1, 2), c(3, 4)), (-1, c(1, 3), c(2, 4)), (1, c(1, 4), c(2, 3))))
+    return _pfaffian(p, (1, 2, 3, 4))
 
 
 def dim4_exactness(p: Bivector, omega: VolumeForm, vanish_point=None) -> Dim4Exactness:

@@ -11,7 +11,11 @@ order is graded lexicographic with z1 > z2 > ... which makes exact division
 and serialization deterministic.  The degree is at most 2^64 - 1.
 
 Values are immutable after construction (all operations return new objects),
-so they are safe to share between concurrent workers.
+so they are safe to share between concurrent workers.  A polynomial caches
+what it derives from its own storage in slots that are written once: the
+`terms` view (`_view`), the largest key (`_top`) and each partial it has
+taken (`_partials`, so `diff` returns the stored object on a repeat).  None
+of them is part of the value: `==` and `hash` read the storage alone.
 
 Storage: integer numerators over one shared denominator.  A polynomial
 keeps two dicts `_re` and `_im` from packed monomials to Python ints and one
@@ -25,9 +29,12 @@ gives the tuple back, reading the key's bytes with one `struct` call (a
 degree field; only this module knows the layout.  No field carries
 while the degree stays below 2^_B: the public constructor refuses a larger
 degree, and `_mul_into` and `_sum_squares` refuse, before they convolve a
-term, operands whose largest keys (cached lazily in the `_top` slot) add
-past 1 << ((n+1)*_B).  A check on the result could not see a carry, since
-wrongly packed keys can cancel.  An RPoly's `_im` is always empty.  Every
+term, operands whose largest keys (`_top`) add past 1 << ((n+1)*_B).  A
+check on the result could not see a carry, since wrongly packed keys can
+cancel.  A power squares repeatedly and never multiplies by the constant 1;
+a one-term power is one term, its key times the exponent over its
+coefficient to the exponent, refused like a product when its degree would
+reach 2^_B.  An RPoly's `_im` is always empty.  Every
 polynomial is in canonical form: `_den` is positive, the gcd of `_den` and
 every numerator is 1, no dict holds a zero, and the zero polynomial is
 ({}, {}, 1).  Equal polynomials therefore have identical storage, so `==`
@@ -201,6 +208,20 @@ def _nonzero(part: Part) -> Part:
     return {m: v for m, v in part.items() if v} if 0 in part.values() else part
 
 
+def _gaussian_power(r: int, s: int, e: int) -> Tuple[int, int]:
+    """(r + i s)^e for ints r, s and e >= 1, by repeated squaring."""
+    if not s:
+        return r ** e, 0
+    pr, ps = 1, 0
+    while True:
+        if e & 1:
+            pr, ps = pr * r - ps * s, pr * s + ps * r
+        e >>= 1
+        if not e:
+            return pr, ps
+        r, s = r * r - s * s, 2 * r * s
+
+
 def _lower(part: Part, shift: int, step: int) -> Part:
     """Partial of one numerator part in the variable whose field starts at bit
     `shift`; `step` lowers that exponent and the degree by one, which is
@@ -214,8 +235,9 @@ def _lower(part: Part, shift: int, step: int) -> Part:
 
 
 class _BasePoly:
-    # _top: the largest packed key (0 for the zero polynomial), set on first use
-    __slots__ = ("nvars", "_re", "_im", "_den", "_view", "_top")
+    # caches, each written once (see the module docstring): _top is the largest
+    # packed key (0 for the zero polynomial) and _partials {variable index: partial}
+    __slots__ = ("nvars", "_re", "_im", "_den", "_view", "_top", "_partials")
 
     def __init__(self, nvars: int, terms: Dict[Monomial, object] | None = None):
         if nvars < 0:
@@ -244,7 +266,7 @@ class _BasePoly:
         self._im = {m: b * (den // d) for m, (_, b, d) in ratios.items() if b}
         self._den = den
         self._view = clean
-        self._top = None
+        self._top = self._partials = None
 
     @classmethod
     def _trusted(cls, nvars: int, re: Part, im: Part, den: int = 1):
@@ -255,7 +277,7 @@ class _BasePoly:
         out._im = im
         out._den = den
         out._view = None
-        out._top = None
+        out._top = out._partials = None
         return out
 
     @classmethod
@@ -453,17 +475,35 @@ class _BasePoly:
                              self._den * d)
 
     def __pow__(self, exponent: int):
+        """Repeated squaring, never multiplying by 1; one term is raised as one term."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        out = self.const(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
+        n = self.nvars
+        if not exponent:
+            return self.const(n, 1)
+        re, im = self._re, self._im
+        if len(re) <= 1 and len(im) <= 1:
+            keys = {*re, *im}
+            if not keys:
+                return self
+            if len(keys) == 1:
+                # c * z^m to the e is c^e * z^(e m): the key times e, refused past the limit
+                (key,) = keys
+                top = key * exponent
+                if top >> (n + 1) * _B:
+                    raise ValueError(_DEGREE_LIMIT)
+                r, s = _gaussian_power(re.get(key, 0), im.get(key, 0), exponent)
+                return self._reduced(n, {top: r} if r else {}, {top: s} if s else {},
+                                     self._den ** exponent)
+        out = None
+        base, e = self, exponent
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, _BasePoly):
@@ -489,14 +529,28 @@ class _BasePoly:
     # -- calculus -----------------------------------------------------------
 
     def diff(self, var_index: int):
-        """Formal partial derivative with respect to the 1-based variable."""
+        """Formal partial derivative with respect to the 1-based variable.
+
+        Each partial is taken once and kept in `_partials`, so a repeat returns
+        the same object.
+        """
         if not 1 <= var_index <= self.nvars:
             raise IndexError(f"variable index {var_index} out of range 1..{self.nvars}")
+        partials = self._partials
+        if partials is None:
+            partials = self._partials = {}
+        else:
+            out = partials.get(var_index)
+            if out is not None:
+                return out
         n = self.nvars
         shift = (n - var_index) * _B
         step = (1 << shift) + (1 << n * _B)
-        return self._reduced(n, _lower(self._re, shift, step), _lower(self._im, shift, step),
-                             self._den)
+        im = self._im
+        out = self._reduced(n, _lower(self._re, shift, step),
+                            _lower(im, shift, step) if im else {}, self._den)
+        partials[var_index] = out
+        return out
 
     def _keys(self):
         """Each packed monomial with a nonzero coefficient, once."""
@@ -692,11 +746,14 @@ def float_evaluator(polys):
     monomials are summed in decreasing graded-lex order, so equal polynomials
     give identical floats.  Given `out`, an array of the values' shape, it
     writes the values there and returns it; the floats are the same either
-    way.  Its `matrices` attribute is the compiled pair (exponents, a float64
-    M x nvars array, and coefficients, M x len(polys)), which the caller must
-    not write.  A coefficient outside the float range or an exponent above
-    2^53 is refused with ValueError.  numpy is loaded on first use, so the
-    exact layers never import it.
+    way.  Each polynomial gets the value it has alone: when a batch of several
+    goes non-finite (an inf monomial times another polynomial's zero
+    coefficient is nan), each non-finite column is summed again over its own
+    monomials only.  Its `matrices` attribute is the compiled pair
+    (exponents, a float64 M x nvars array, and coefficients, M x len(polys)),
+    which the caller must not write.  A coefficient outside the float range
+    or an exponent above 2^53 is refused with ValueError.  numpy is loaded on
+    first use, so the exact layers never import it.
     """
     import numpy as np
 
@@ -724,6 +781,9 @@ def float_evaluator(polys):
         raise ValueError(f"float evaluation needs coefficients of at most {float_info.max!r}"
                          " in absolute value") from None
     coeffs = np.array(rows, dtype=kind).reshape(len(monos), len(polys))
+    # the rows of each polynomial's own monomials, for a batch that goes non-finite
+    owns = [[row for row, m in enumerate(monos) if m in p._re or m in p._im]
+            for p in polys] if len(polys) > 1 else []
 
     def evaluate(points, out=None):
         points = np.asarray(points, dtype=kind)
@@ -731,7 +791,14 @@ def float_evaluator(polys):
             raise ValueError(f"point length {points.shape[-1] if points.ndim else 0} != nvars {nvars}")
         # np.prod is this reduction behind a Python wrapper that costs more than the product
         monomials = np.multiply.reduce(points[..., None, :] ** exps, axis=-1)
-        return np.matmul(monomials, coeffs, out=out)
+        values = np.matmul(monomials, coeffs, out=out)
+        if owns and not np.isfinite(values).all():
+            # an inf monomial times another polynomial's zero coefficient is nan:
+            # each non-finite value is taken again over its polynomial's own monomials
+            for j, own in enumerate(owns):
+                if not np.isfinite(values[..., j]).all():
+                    values[..., j] = np.matmul(monomials[..., own], coeffs[own, j:j + 1])[..., 0]
+        return values
 
     evaluate.matrices = exps, coeffs
     return evaluate

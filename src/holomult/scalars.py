@@ -73,9 +73,11 @@ class GaussianRational:
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:  # a real divisor divides each part: skip the norm and the cross products
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _make(a / c, b / c)
         norm = c * c + d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
         return _make((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):

@@ -27,6 +27,11 @@ PINS = os.path.join(DATA, "pins")
 C3_BIVECTOR = "1 2: (z1)^2*z3; 1 3: z2*(z3)^2; 2 3: (z1)^3 + z2"
 C4_BIVECTOR = "3 1: z1*z2 - (z4)^2; 1 4: 2*z3*z4; 2 3: z1*z3 - i*z2; 4 2: (z2)^2 + 3*z4"
 C3_FIELD = "z1*z2 - i*z3; (z2)^2 - z3; z1*z3 + 2"
+# the Jacobian bracket of the Casimirs z1 + z2*z3, (z4)^2 + z5 and z1*z5 + z2: Poisson and unimodular
+C5_JACOBIAN = ("1 2: 2*z1*z2*z4; 1 3: -2*z1*z3*z4; 1 4: z2; 1 5: -2*z2*z4; 2 3: 2*z1*z4; "
+               "2 4: -z2*z5; 2 5: 2*z2*z4*z5; 3 4: z3*z5 - 1; 3 5: -2*z3*z4*z5 + 2*z4")
+# unimodular but not Poisson: the componentwise route must say so, or the routes disagree (exit 3)
+C4_UNIMODULAR = "1 2: z3; 3 4: z1"
 
 # case name -> (argv without --format, expected exit code)
 CASES = {
@@ -36,6 +41,8 @@ CASES = {
     "bracket": (["bracket", "--dim", "3", "--field", C3_FIELD, "--field", "z3; z1*z2; 0"], 0),
     "curl_c3": (["curl", "--dim", "3", "--bivector", C3_BIVECTOR], 0),
     "curl_c4": (["curl", "--dim", "4", "--bivector", C4_BIVECTOR, "--volume-weight", "1 + i"], 0),
+    "curl_c5_jacobian": (["curl", "--dim", "5", "--bivector", C5_JACOBIAN], 0),
+    "curl_c4_unimodular": (["curl", "--dim", "4", "--bivector", C4_UNIMODULAR], 0),
     "modular_c3": (["modular", "--dim", "3", "--bivector", C3_BIVECTOR], 0),
     "modular_c4": (["modular", "--dim", "4", "--bivector", C4_BIVECTOR], 0),
     "realify_field": (["realify", "--dim", "3", "--field", C3_FIELD], 0),
